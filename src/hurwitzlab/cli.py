@@ -27,6 +27,7 @@ from .hurwitz import (
     RamificationProfile,
     enumerate_profiles,
     frobenius_connected,
+    invariant_violation,
     oracle_count,
     simple_branch_count,
 )
@@ -36,7 +37,7 @@ from .piecewise import (
     product_formula_report,
     wall_crossing,
 )
-from .symgroup import mn_character, partitions_of, z_lambda
+from .symgroup import character_column, partitions_of, z_lambda
 
 DEFAULT_CACHE_PATH = "./hurwitz-cache.jsonl"
 
@@ -117,7 +118,7 @@ def cache_lookup(path: str, key: str) -> dict | None:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue  # tolerate a torn trailing write
-            if record.get("key") == key:
+            if isinstance(record, dict) and record.get("key") == key:
                 hit = record
     return hit
 
@@ -156,23 +157,37 @@ def _compute_result(profile: RamificationProfile, g: int, method: str, budget: i
     raise ValueError(f"unknown method {method!r}")
 
 
+def _cached_value(record: dict, profile: RamificationProfile, r: int) -> Fraction | None:
+    """The record's value if it parses and passes the count invariants, else None
+    after a notice: a damaged record is never served."""
+    try:
+        value = Fraction(record["value"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        _notice(f"ignoring cache record for {record['key']}: unparsable value")
+        return None
+    violation = invariant_violation(profile, r, value)
+    if violation is not None:
+        _notice(f"ignoring cache record for {record['key']}: {violation}")
+        return None
+    return value
+
+
 def cmd_compute(args) -> int:
     profile = _parse_profile(args.x)
     g = args.g
-    if g < 0:
-        raise InvalidProfileError(f"genus must be nonnegative, got {g}")
     r = simple_branch_count(g, profile.n)
     path = _resolve_cache_path(args)
     key = cache_key(g, profile)
-    cached = cache_lookup(path, key) if path else None
+    record = cache_lookup(path, key) if path else None
+    cached = _cached_value(record, profile, r) if record is not None else None
 
     if cached is not None and not args.verify:
         _notice(f"cache hit for {key}")
         payload = {
-            "value": cached["value"],
+            "value": str(cached),
             "g": g,
             "r": r,
-            "method": cached.get("method", "unknown"),
+            "method": record.get("method", "unknown"),
             "stats": {
                 "tuples_examined": None,
                 "tuples_accepted": None,
@@ -205,14 +220,12 @@ def cmd_compute(args) -> int:
         stats = result.stats.to_json_dict()
         method_used = result.method
 
-    if cached is not None and cached["value"] != str(value):
+    if cached is not None and cached != value:
         return _emit_error(
-            AssertionError(
-                f"cache holds {cached['value']} but recomputation gives {value}"
-            ),
+            AssertionError(f"cache holds {cached} but recomputation gives {value}"),
             code="CACHE_MISMATCH",
         )
-    if path:
+    if path and cached is None:
         cache_append(path, key, str(value), method_used)
 
     payload = {
@@ -390,9 +403,8 @@ def _check_symmetry() -> CheckResult:
 
 def _check_orthogonality(max_d: int = 8) -> CheckResult:
     for d in range(1, max_d + 1):
-        lams = list(partitions_of(d))
-        for mu in lams:
-            total = sum(mn_character(lam, mu) ** 2 for lam in lams)
+        for mu in partitions_of(d):
+            total = sum(chi * chi for chi in character_column(mu).values())
             if total != z_lambda(mu):
                 return CheckResult(
                     name="character column orthogonality",

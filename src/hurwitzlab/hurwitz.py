@@ -1,12 +1,14 @@
 """Double Hurwitz numbers, exactly, by two independent routes.
 
-``oracle_count`` enumerates tuples of transpositions closing up a fixed
+``oracle_count`` enumerates tuples of transposition factors closing up a fixed
 monodromy representative and filters for connectedness; it is slow but its
 correctness is elementary, so it serves as the ground truth.
-``frobenius_connected`` evaluates the classical character-sum count of
-factorizations and extracts the connected part by inclusion-exclusion over
-partitions of the labeled marked points into balanced blocks.  The two are
-required to agree exactly; the test suite checks this on an exhaustive grid.
+``frobenius_connected`` evaluates Frobenius's formula in content form, an
+integer sum over the partitions lambda of d where both character columns are
+nonzero, for the disconnected count of factorizations.  It extracts the
+connected part by a recursion on the balanced block that holds the first
+labeled marked point.  The two are required to agree exactly; the test suite
+checks this on an exhaustive grid.
 
 Both routes use the labeled normalization: the preimages of 0 and of infinity
 carry the labels of the input vector, which multiplies the unlabeled count by
@@ -23,21 +25,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     BudgetExceededError,
     InvalidProfileError,
     NegativeBranchCountError,
 )
-from .symgroup import (
-    Partition,
-    class_size,
-    mn_character,
-    irreducible_dimension,
-    partitions_of,
-    transposition_class,
-)
+from .symgroup import Partition, character_column, z_lambda
 
 DEFAULT_ORACLE_BUDGET = 10**9
 
@@ -55,6 +50,8 @@ class RamificationProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in self.x):
+            raise InvalidProfileError(f"profile entries must be integers: {self.x}")
         if len(self.x) < 2:
             raise InvalidProfileError(f"profile needs at least 2 entries: {self.x}")
         if any(v == 0 for v in self.x):
@@ -126,6 +123,8 @@ class HurwitzResult:
 
 def simple_branch_count(g: int, n: int) -> int:
     """Number of simple branch points r = 2g - 2 + n."""
+    if g < 0:
+        raise InvalidProfileError(f"genus must be nonnegative, got {g}")
     r = 2 * g - 2 + n
     if r < 0:
         raise NegativeBranchCountError(f"2g-2+n = {r} < 0 for g={g}, n={n}")
@@ -147,6 +146,22 @@ def _mult_factorial(lam: Partition) -> int:
     return f
 
 
+def invariant_violation(profile: RamificationProfile, r: int, value: Fraction) -> str | None:
+    """Why value cannot be the count for profile with r branch points, or None.
+
+    Cheap sanity invariants, checked on every computed value and on every
+    value read back from the result cache.
+    """
+    weight = _alpha_weight(profile.alpha())
+    if (value * weight).denominator != 1:
+        return f"integrality violated: {value} * {weight} is not an integer"
+    if value < 0:
+        return f"negative count {value} for {profile}"
+    if profile.degree == 1 and r > 0 and value != 0:
+        return f"degree-1 cover with r={r} must count 0, got {value}"
+    return None
+
+
 def _finalize(
     profile: RamificationProfile,
     g: int,
@@ -155,16 +170,9 @@ def _finalize(
     method: str,
     stats: EnumerationStats,
 ) -> HurwitzResult:
-    # Cheap sanity invariants, asserted on every computed value.
-    weight = _alpha_weight(profile.alpha())
-    if (value * weight).denominator != 1:
-        raise AssertionError(
-            f"integrality violated: {value} * {weight} is not an integer"
-        )
-    if value < 0:
-        raise AssertionError(f"negative count {value} for {profile}")
-    if profile.degree == 1 and r > 0 and value != 0:
-        raise AssertionError(f"degree-1 cover with r={r} must count 0, got {value}")
+    violation = invariant_violation(profile, r, value)
+    if violation is not None:
+        raise AssertionError(violation)
     return HurwitzResult(value=value, genus=g, r=r, method=method, stats=stats)
 
 
@@ -189,17 +197,14 @@ def _count_tuples(
     r: int,
     beta_parts: tuple[int, ...],
     d: int,
-    first_choices: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[int, int]:
     """Depth-first count of accepted transposition r-tuples.
 
     Returns (leaves examined, tuples accepted).  The search keeps the running
     product sigma0 * tau_1 * ... * tau_j and its cycle count incrementally and
-    prunes a branch as soon as the remaining transpositions cannot reach the
+    prunes a branch as soon as the remaining factors cannot reach the
     target cycle count (each factor changes the count by exactly +-1, so both
-    the distance and its parity must fit).  Restricting the first factor to
-    ``first_choices`` enumerates a subrange; disjoint subranges sum to the
-    full count, which is how parallel splits stay deterministic.
+    the distance and its parity must fit).
     """
     all_taus = [(a, b) for a in range(d) for b in range(a + 1, d)]
     target = len(beta_parts)
@@ -209,7 +214,7 @@ def _count_tuples(
         inv[v] = i
 
     # Connected components of the subgroup generated so far are tracked via
-    # the sigma0-cycle label of each point plus the chosen transpositions.
+    # the sigma0-cycle label of each point plus the factors chosen so far.
     label = [0] * d
     ncycles0 = 0
     seen = [False] * d
@@ -283,12 +288,7 @@ def _count_tuples(
             if cycles == target and leaf_type_matches() and leaf_transitive():
                 accepted += 1
             return
-        choices = (
-            first_choices
-            if depth == 0 and first_choices is not None
-            else all_taus
-        )
-        for a, b in choices:
+        for a, b in all_taus:
             delta = 1 if same_cycle(a, b) else -1
             new_cycles = cycles + delta
             gap = abs(new_cycles - target)
@@ -307,21 +307,17 @@ def oracle_count(
     profile: RamificationProfile,
     g: int,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    split_tau1: int = 1,
 ) -> HurwitzResult:
     """Count genus-g covers by exhaustive monodromy enumeration.
 
     One representative of the cycle type over 0 is fixed and all r-tuples of
-    transpositions are enumerated; a tuple is accepted when the product has
-    the cycle type over infinity and the generated group is transitive.  The
+    transposition factors are enumerated; a tuple is accepted when the product
+    has the cycle type over infinity and the generated group is transitive.  The
     class-size factor cancels into the labeled normalization, giving
 
         H = prod_k m_k(beta)! * accepted / prod_k k^{m_k(alpha)}.
 
     Genus is not checked separately: fixing r = 2g-2+n forces it.
-    ``split_tau1`` partitions the choices of the first factor into that many
-    round-robin chunks counted independently and summed; the result and the
-    stats are identical for every split.
     """
     r = simple_branch_count(g, profile.n)
     d = profile.degree
@@ -333,16 +329,7 @@ def oracle_count(
     alpha, beta = profile.alpha(), profile.beta()
     sigma0 = _representative(alpha, d)
     started = time.perf_counter()
-    if r == 0 or split_tau1 <= 1:
-        examined, accepted = _count_tuples(sigma0, r, beta.parts, d)
-    else:
-        all_taus = [(a, b) for a in range(d) for b in range(a + 1, d)]
-        examined = accepted = 0
-        for chunk in range(split_tau1):
-            part = all_taus[chunk::split_tau1]
-            ex, ac = _count_tuples(sigma0, r, beta.parts, d, first_choices=part)
-            examined += ex
-            accepted += ac
+    examined, accepted = _count_tuples(sigma0, r, beta.parts, d)
     value = Fraction(_mult_factorial(beta) * accepted, _alpha_weight(alpha))
     stats = EnumerationStats(
         tuples_examined=examined,
@@ -362,8 +349,14 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> Fractio
     identity, with sigma_0 of type alpha, sigma_inf of type beta and each
     tau a transposition, with no connectedness requirement.
 
-    Classical character sum over the irreducibles of S_d; for d = 1 there are
-    no transpositions, so the count is 1 exactly when r = 0.
+    Frobenius's formula in content form,
+
+        d! / (z_alpha z_beta)
+           * sum_lambda chi_lambda(alpha) * chi_lambda(beta) * cont(lambda)^r,
+
+    where cont(lambda), the sum of j - i over the cells (i, j) of lambda, is
+    the central character of lambda on the transposition class.  Only
+    lambda with both characters nonzero are visited, and the sum is an integer.
     """
     if alpha.size != beta.size:
         raise ValueError(f"|alpha|={alpha.size} differs from |beta|={beta.size}")
@@ -372,37 +365,14 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> Fractio
         raise ValueError("degree must be at least 1")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if d == 1:
-        return Fraction(1 if r == 0 else 0)
-    tau = transposition_class(d)
-    prefactor = Fraction(
-        class_size(alpha) * class_size(beta) * class_size(tau) ** r,
-        math.factorial(d),
-    )
-    total = Fraction(0)
-    for lam in partitions_of(d):
-        chi_tau = mn_character(lam, tau)
-        if r > 0 and chi_tau == 0:
-            continue
-        chi_a = mn_character(lam, alpha)
-        if chi_a == 0:
-            continue
-        chi_b = mn_character(lam, beta)
-        if chi_b == 0:
-            continue
-        total += Fraction(chi_a * chi_b * chi_tau**r, irreducible_dimension(lam) ** r)
-    return prefactor * total
-
-
-def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partial in _set_partitions(rest):
-        for i in range(len(partial)):
-            yield partial[:i] + [[first] + partial[i]] + partial[i + 1 :]
-        yield [[first]] + partial
+    small, large = sorted((character_column(alpha), character_column(beta)), key=len)
+    total = 0
+    for lam, chi in small.items():
+        other = large.get(lam)
+        if other is not None:
+            cont = sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam.parts))
+            total += chi * other * cont**r
+    return Fraction(math.factorial(d) * total, z_lambda(alpha) * z_lambda(beta))
 
 
 def _block_key(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -419,50 +389,42 @@ def _labeled_disconnected(pos: tuple[int, ...], neg: tuple[int, ...], r: int) ->
     return labeled * frobenius_disconnected(alpha, beta, r)
 
 
-def _valid_block_rs(n_block: int, r_total: int) -> list[int]:
-    # r_B must leave a nonnegative genus: r_B >= n_B - 2 and r_B == n_B mod 2
-    return [rb for rb in range(max(n_block - 2, 0), r_total + 1) if (rb - n_block) % 2 == 0]
-
-
 @lru_cache(maxsize=None)
 def _connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Fraction:
     """Connected labeled count for the profile with given part multisets.
 
-    Solves the inclusion-exclusion recursion: the disconnected count is the
-    sum over set partitions of the labeled marked points into balanced blocks
-    of multinomially weighted products of connected counts, so the connected
-    count is the disconnected one minus every multi-block term.
+    A disconnected cover splits the labeled marked points S into balanced
+    blocks, one per component, and its r branch points among them.  Fixing
+    the block B that holds the first point gives, with C = connected / r!
+    and D = disconnected / r!,
+
+        D(S, r) = sum over balanced B containing the first point and over r_B
+                  of C(B, r_B) * D(S - B, r - r_B),
+
+    with D(empty, 0) = 1.  A connected block has genus >= 0, so
+    r_B >= |B| - 2 and r_B == |B| (mod 2).  The B = S term is C(S, r); the
+    rest are subtracted, with D taken straight from the character sum.  The
+    code works with the counts themselves, so each term carries binom(r, r_B).
     """
-    values = list(pos) + [-v for v in neg]
-    n = len(values)
-    total = _labeled_disconnected(pos, neg, r)
-    correction = Fraction(0)
-    for blocks in _set_partitions(tuple(range(n))):
-        if len(blocks) < 2:
-            continue
-        if any(sum(values[i] for i in block) != 0 for block in blocks):
-            continue
-        block_keys = [_block_key([values[i] for i in block]) for block in blocks]
-        sizes = [len(block) for block in blocks]
-
-        def assign(idx: int, remaining: int) -> Fraction:
-            if idx == len(blocks):
-                return Fraction(1) if remaining == 0 else Fraction(0)
-            subtotal = Fraction(0)
-            for rb in _valid_block_rs(sizes[idx], remaining):
-                inner = assign(idx + 1, remaining - rb)
-                if inner == 0:
-                    continue
-                bp, bn = block_keys[idx]
-                subtotal += (
-                    Fraction(1, math.factorial(rb))
-                    * _connected_value(bp, bn, rb)
-                    * inner
+    values = pos + tuple(-v for v in neg)
+    first, others = values[0], values[1:]
+    value = _labeled_disconnected(pos, neg, r)
+    for size in range(1, len(others)):
+        for chosen in itertools.combinations(range(len(others)), size):
+            block = (first,) + tuple(others[i] for i in chosen)
+            if sum(block) != 0:
+                continue
+            block_pos, block_neg = _block_key(block)
+            rest_pos, rest_neg = _block_key(
+                [v for i, v in enumerate(others) if i not in chosen]
+            )
+            for rb in range(len(block) - 2, r + 1, 2):
+                value -= (
+                    math.comb(r, rb)
+                    * _connected_value(block_pos, block_neg, rb)
+                    * _labeled_disconnected(rest_pos, rest_neg, r - rb)
                 )
-            return subtotal
-
-        correction += math.factorial(r) * assign(0, r)
-    return total - correction
+    return value
 
 
 def frobenius_connected(profile: RamificationProfile, g: int) -> HurwitzResult:

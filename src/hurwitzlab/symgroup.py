@@ -1,8 +1,10 @@
 """Partitions, permutations of {1..d}, class data, and irreducible characters.
 
-Characters are computed on demand by recursive border-strip removal (largest
-remaining class part first) and memoized, so no tables are shipped and any
-degree works.  Permutations compose left-to-right: (sigma * tau)(i) =
+Characters come a column at a time: ``character_column(mu)`` maps every
+partition lambda with chi_lambda(mu) != 0 to that value.  It runs the
+Murnaghan-Nakayama rule forwards, adding rim hooks of the lengths in mu to the
+empty partition on a beta-set, and is memoized, so no tables are shipped and
+any degree works.  Permutations compose left-to-right: (sigma * tau)(i) =
 tau(sigma(i)); the convention is fixed here and used consistently everywhere
 a product of monodromy factors is formed.
 """
@@ -109,32 +111,12 @@ def cycle_type(sigma: Permutation) -> Partition:
     return Partition.from_iterable(len(c) for c in sigma.cycles())
 
 
-def transpositions(d: int) -> list[Permutation]:
-    """All transpositions of S_d."""
-    return [
-        Permutation.from_cycles(d, [(a, b)])
-        for a in range(1, d + 1)
-        for b in range(a + 1, d + 1)
-    ]
-
-
 def z_lambda(lam: Partition) -> int:
     """Centralizer order of a permutation of cycle type lam: prod k^{m_k} m_k!."""
     z = 1
     for k, m in lam.multiplicities().items():
         z *= k**m * math.factorial(m)
     return z
-
-
-def class_size(lam: Partition) -> int:
-    """Size of the conjugacy class of cycle type lam in S_{|lam|}."""
-    return math.factorial(lam.size) // z_lambda(lam)
-
-
-def transposition_class(d: int) -> Partition:
-    if d < 2:
-        raise ValueError(f"no transpositions in S_{d}")
-    return Partition((2,) + (1,) * (d - 2))
 
 
 def partitions_of(d: int) -> Iterator[Partition]:
@@ -165,33 +147,29 @@ def _partition_from_beta(beta: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _mn_recursive(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not mu:
-        return 1
-    strip, rest = mu[0], mu[1:]
-    beta = _beta_set(lam)
-    members = set(beta)
-    total = 0
-    for b in beta:
-        target = b - strip
-        if target < 0 or target in members:
-            continue
-        height = sum(1 for c in beta if target < c < b)
-        new_beta = [target if c == b else c for c in beta]
-        total += (-1) ** height * _mn_recursive(_partition_from_beta(new_beta), rest)
-    return total
+def character_column(mu: Partition) -> dict[Partition, int]:
+    """Every nonzero chi_lambda(mu), keyed by lambda; do not mutate the result.
 
-
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character chi_lam evaluated on the class mu."""
-    if lam.size != mu.size:
-        raise ValueError(f"partition sizes differ: |{lam}|={lam.size}, |{mu}|={mu.size}")
-    return _mn_recursive(lam.parts, mu.parts)
-
-
-def irreducible_dimension(lam: Partition) -> int:
-    """Dimension of the irreducible representation indexed by lam."""
-    return _mn_recursive(lam.parts, (1,) * lam.size)
+    Rim hooks of the lengths in mu, largest first, are added to the empty
+    partition: on a beta-set, adding a k-hook moves one bead from b to a free
+    b + k, with sign (-1)^(beads strictly between).  Padding the beta-set with
+    k zero rows lets the hook start new rows.  Coefficients that cancel to 0
+    are dropped after each hook.
+    """
+    column: dict[tuple[int, ...], int] = {(): 1}
+    for k in mu.parts:
+        grown: dict[tuple[int, ...], int] = {}
+        for lam, chi in column.items():
+            beta = _beta_set(lam + (0,) * k)
+            members = set(beta)
+            for b in beta:
+                if b + k in members:
+                    continue
+                height = sum(1 for c in beta if b < c < b + k)
+                new_lam = _partition_from_beta([b + k if c == b else c for c in beta])
+                grown[new_lam] = grown.get(new_lam, 0) + (-1) ** height * chi
+        column = {lam: chi for lam, chi in grown.items() if chi}
+    return {Partition(lam): chi for lam, chi in column.items()}
 
 
 def is_transitive(d: int, gens: Iterable[Permutation]) -> bool:

@@ -123,6 +123,37 @@ def test_cache_round_trip(tmp_path):
     assert _stdout_json(verified).get("cached") is None
 
 
+def test_cache_verify_appends_only_on_miss(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    for _ in range(3):
+        proc = _run(
+            "compute", "-g", "0", "-x", "3,1,-2,-2", "--verify", "--cache", str(cache)
+        )
+        assert proc.returncode == 0
+    assert len(cache.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad_value", ["banana", "-1"])
+def test_cache_damaged_record_is_recomputed(tmp_path, bad_value):
+    cache = tmp_path / "cache.jsonl"
+    record = {"key": "g=0;pos=2;neg=-1,-1", "value": bad_value, "method": "frobenius"}
+    cache.write_text(json.dumps(record) + "\n")
+    proc = _run("compute", "-g", "0", "-x", "2,-1,-1", "--cache", str(cache))
+    assert proc.returncode == 0
+    payload = _stdout_json(proc)
+    assert payload["value"] == "1"
+    assert "cached" not in payload
+    assert "ignoring cache record" in proc.stderr
+
+
+def test_cache_skips_lines_that_are_not_records(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("[1]\n5\n")
+    proc = _run("compute", "-g", "0", "-x", "2,1,-3", "--cache", str(cache))
+    assert proc.returncode == 0
+    assert _stdout_json(proc)["value"] == "1"
+
+
 def test_cache_env_var(tmp_path):
     cache = str(tmp_path / "env-cache.jsonl")
     proc = _run(
@@ -160,6 +191,15 @@ def test_fit_genus_one_cubic():
     payload = _stdout_json(proc)
     assert payload["display"] == "1/12*x1^3 - 1/12*x1"
     assert payload["degree_bound"] == 3
+
+
+@pytest.mark.parametrize(
+    "extra", [("compute", "--no-cache"), ("fit",)], ids=["compute", "fit"]
+)
+def test_negative_genus_rejected(extra):
+    proc = _run(*extra, "-g", "-1", "-x", "7,1,-2,-3,-3")
+    assert proc.returncode == 2
+    assert _stderr_json(proc)["error"] == "INVALID_PROFILE"
 
 
 def test_fit_two_part_genus_zero_refused():

@@ -21,7 +21,7 @@ from hurwitzlab.hurwitz import (
     oracle_count,
     simple_branch_count,
 )
-from hurwitzlab.symgroup import Partition
+from hurwitzlab.symgroup import Partition, partitions_of
 
 
 def _profile(*entries: int) -> RamificationProfile:
@@ -45,6 +45,10 @@ def test_profile_rejects_bad_inputs():
         _profile(1, 0, -1)
     with pytest.raises(InvalidProfileError):
         _profile(1, 1, -1)
+    with pytest.raises(InvalidProfileError):
+        _profile(1.5, -1.5)
+    with pytest.raises(InvalidProfileError):
+        _profile(True, -1)
 
 
 def test_profile_derived_data():
@@ -67,6 +71,13 @@ def test_simple_branch_count_values():
 def test_simple_branch_count_negative():
     with pytest.raises(NegativeBranchCountError):
         simple_branch_count(0, 1)
+
+
+def test_negative_genus_rejected():
+    with pytest.raises(InvalidProfileError):
+        simple_branch_count(-1, 5)
+    with pytest.raises(InvalidProfileError):
+        frobenius_connected(_profile(7, 1, -2, -3, -3), -1)
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -92,18 +103,13 @@ def test_oracle_budget_exceeded():
         oracle_count(_profile(9, 4, -5, -5, -3), 0, budget=1000)
 
 
-def test_oracle_determinism_across_runs_and_splits():
+def test_oracle_determinism_across_runs():
     profile = _profile(3, 1, -2, -2)
     base = oracle_count(profile, 1)
     again = oracle_count(profile, 1)
     assert base.value == again.value
     assert base.stats.tuples_examined == again.stats.tuples_examined
     assert base.stats.tuples_accepted == again.stats.tuples_accepted
-    for split in (2, 3, 5):
-        chunked = oracle_count(profile, 1, split_tau1=split)
-        assert chunked.value == base.value
-        assert chunked.stats.tuples_examined == base.stats.tuples_examined
-        assert chunked.stats.tuples_accepted == base.stats.tuples_accepted
 
 
 # -- disconnected character counts ------------------------------------------------
@@ -154,6 +160,30 @@ def test_degenerate_degree_one_positive_r():
     # d = 1 with extra branch points supports no cover
     assert oracle_count(_profile(1, -1), 1).value == 0
     assert frobenius_connected(_profile(1, -1), 1).value == 0
+
+
+def _part_multisets(n: int, max_degree: int):
+    """One profile per pair of part multisets (alpha, beta) with n parts in all."""
+    for d in range(1, max_degree + 1):
+        for alpha in partitions_of(d):
+            for beta in partitions_of(d):
+                if len(alpha) + len(beta) == n:
+                    yield RamificationProfile(alpha.parts + tuple(-b for b in beta.parts))
+
+
+@pytest.mark.parametrize(
+    "n, max_degree, genera", [(5, 5, (0, 1)), (6, 6, (0,))], ids=["n5", "n6"]
+)
+def test_methods_agree_on_five_and_six_points(n, max_degree, genera):
+    # reaches splits into three balanced blocks, e.g. (1,1,1,-1,-1,-1)
+    cases = 0
+    for profile in _part_multisets(n, max_degree):
+        for g in genera:
+            assert (
+                oracle_count(profile, g).value == frobenius_connected(profile, g).value
+            ), f"mismatch at {profile} g={g}"
+            cases += 1
+    assert cases > 0
 
 
 def test_methods_agree_on_small_sample():

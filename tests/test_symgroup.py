@@ -10,19 +10,16 @@ import pytest
 from hurwitzlab.symgroup import (
     Partition,
     Permutation,
-    class_size,
+    character_column,
     cycle_type,
-    irreducible_dimension,
     is_transitive,
-    mn_character,
     partitions_of,
-    transposition_class,
     z_lambda,
 )
 
 
 def _hook_dimension(parts: tuple[int, ...]) -> int:
-    """Hook length formula, kept independent of the recursive character code."""
+    """Hook length formula, kept independent of the rim-hook character code."""
     d = sum(parts)
     if d == 0:
         return 1
@@ -99,12 +96,13 @@ def test_z_lambda_two_one():
 def test_empty_partition_base_case():
     empty = Partition(())
     assert z_lambda(empty) == 1
-    assert mn_character(empty, empty) == 1
+    assert character_column(empty) == {empty: 1}
 
 
 def test_class_sizes_partition_the_group():
     for d in range(1, 11):
-        assert sum(class_size(lam) for lam in partitions_of(d)) == math.factorial(d)
+        total = sum(math.factorial(d) // z_lambda(lam) for lam in partitions_of(d))
+        assert total == math.factorial(d)
 
 
 # -- characters -----------------------------------------------------------------
@@ -113,52 +111,37 @@ def test_class_sizes_partition_the_group():
 def test_trivial_representation():
     for d in (3, 5):
         for mu in partitions_of(d):
-            assert mn_character(Partition((d,)), mu) == 1
+            assert character_column(mu)[Partition((d,))] == 1
 
 
 def test_sign_representation():
     for d in (3, 5, 6):
         for mu in partitions_of(d):
-            assert mn_character(Partition((1,) * d), mu) == (-1) ** (d - len(mu))
+            assert character_column(mu)[Partition((1,) * d)] == (-1) ** (d - len(mu))
 
 
 def test_standard_character_on_three_cycle():
-    assert mn_character(Partition((2, 1)), Partition((3,))) == -1
+    column = character_column(Partition((3,)))
+    assert column[Partition((2, 1))] == -1
     # cross-check via column orthogonality at d = 3
-    mu = Partition((3,))
-    assert sum(
-        mn_character(lam, mu) ** 2 for lam in partitions_of(3)
-    ) == z_lambda(mu)
-
-
-def test_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        mn_character(Partition((2, 1)), Partition((2,)))
+    assert sum(chi * chi for chi in column.values()) == z_lambda(Partition((3,)))
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_column_orthogonality(d):
-    lams = list(partitions_of(d))
-    for mu in lams:
-        assert sum(mn_character(lam, mu) ** 2 for lam in lams) == z_lambda(mu)
+    for mu in partitions_of(d):
+        column = character_column(mu)
+        assert all(lam.size == d and chi != 0 for lam, chi in column.items())
+        assert sum(chi * chi for chi in column.values()) == z_lambda(mu)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_dimensions_match_hook_formula(d):
-    total = 0
-    for lam in partitions_of(d):
-        dim = mn_character(lam, Partition((1,) * d))
+    column = character_column(Partition((1,) * d))
+    assert set(column) == set(partitions_of(d))
+    for lam, dim in column.items():
         assert dim == _hook_dimension(lam.parts)
-        assert dim == irreducible_dimension(lam)
-        total += dim * dim
-    assert total == math.factorial(d)
-
-
-def test_transposition_class_shape():
-    assert transposition_class(2) == Partition((2,))
-    assert transposition_class(5) == Partition((2, 1, 1, 1))
-    with pytest.raises(ValueError):
-        transposition_class(1)
+    assert sum(dim * dim for dim in column.values()) == math.factorial(d)
 
 
 # -- transitivity ----------------------------------------------------------------
