@@ -3,7 +3,7 @@
 A wall is the hyperplane where a subset sum of the coordinates vanishes; on
 the zero-sum space a subset and its complement cut out the same wall, so the
 canonical representative is the one not containing index 1.  A chamber is
-identified by the vector of signs of every canonical subset sum.  Sampling
+identified by the vector of signs of every canonical subset sum.  Fit nodes
 and adjacency search use deterministic candidate sequences only, so results
 are reproducible.
 """
@@ -11,7 +11,6 @@ are reproducible.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,7 @@ from .errors import (
     OnWallError,
     SamplingBudgetExceededError,
 )
-from .exact import MultiPoly
+from .exact import MultiPoly, compositions, lattice_point, monomials_up_to_degree
 from .hurwitz import RamificationProfile
 
 
@@ -98,9 +97,6 @@ class ChamberSignature:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signature signs must be +1 or -1")
 
-    def sign_at(self, wall: Wall) -> int:
-        return self.signs[walls(self.n).index(wall)]
-
     def flipped(self, wall: Wall) -> ChamberSignature:
         idx = walls(self.n).index(wall)
         signs = list(self.signs)
@@ -155,22 +151,6 @@ class ChamberWitness:
         return cls(profile, signature(profile))
 
 
-def _perturbation_directions(n: int) -> list[tuple[int, ...]]:
-    """Small zero-sum lattice vectors spanning the perturbation search.
-
-    The order is a fixed pseudo-random shuffle: consecutive candidates then
-    differ in many coordinates, which keeps early samples in general position
-    for interpolation.  The sequence is identical on every run.
-    """
-    dirs = []
-    for free in itertools.product((-1, 0, 1), repeat=n - 1):
-        if all(c == 0 for c in free):
-            continue
-        dirs.append(free + (-sum(free),))
-    random.Random(170).shuffle(dirs)
-    return dirs
-
-
 def _is_valid_sample(candidate: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
     if any(v == 0 for v in candidate):
         return False
@@ -183,51 +163,141 @@ def _is_valid_sample(candidate: tuple[int, ...], n: int, target: tuple[int, ...]
     return True
 
 
-def sample_chamber(
-    witness: ChamberWitness, count: int, budget: int = 100_000
-) -> list[RamificationProfile]:
-    """Deterministically generate `count` distinct lattice points sharing the
-    witness's signature.
+def _box_vectors(n: int, radius: int) -> list[tuple[int, ...]]:
+    """Zero-sum vectors with entries in [-radius, radius], at least one of
+    them +-radius, ordered by degree (sum of positive entries), then
+    lexicographically."""
+    out = []
+    for free in itertools.product(range(-radius, radius + 1), repeat=n - 1):
+        vector = free + (-sum(free),)
+        if max(abs(v) for v in vector) == radius:
+            out.append(vector)
+    out.sort(key=lambda v: (sum(c for c in v if c > 0), v))
+    return out
 
-    Candidates are integer scalings k*x (which provably stay in the chamber)
-    interleaved with perturbations k*x + c*delta over a fixed set of small
-    zero-sum directions; every candidate is re-validated against the target
-    signature before being accepted, and each evaluation counts toward the
-    budget.
+
+def _in_closed_cone(vector: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
+    """Every wall sum of vector is 0 or has the chamber's sign."""
+    for wall, want in zip(walls(n), target):
+        s = wall.subset_sum(vector)
+        if s != 0 and (1 if s > 0 else -1) != want:
+            return False
+    return True
+
+
+def _reduce(vector: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> list[int]:
+    """vector with its components along the echelon rows removed (fraction
+    free); nonzero iff vector is independent of them."""
+    out = list(vector)
+    for pivot, row in echelon:
+        if out[pivot]:
+            out = [row[pivot] * a - out[pivot] * b for a, b in zip(out, row)]
+    return out
+
+
+@dataclass(frozen=True)
+class ChamberNodes:
+    """Fit nodes on an affine principal lattice inside one chamber.
+
+    ``nodes`` pairs each a with a_i >= 0 and sum a_i <= degree, in the order
+    of ``monomials_up_to_degree(n - 1, degree)``, with the point
+    ``lattice_point(base.x, steps, a)``; ``held_out`` are further lattice
+    points, from the layers sum a_i = degree + 1, degree + 2, ...
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+
+    base: RamificationProfile
+    steps: tuple[tuple[int, ...], ...]
+    nodes: tuple[tuple[tuple[int, ...], RamificationProfile], ...]
+    held_out: tuple[RamificationProfile, ...]
+
+
+def chamber_nodes(
+    witness: ChamberWitness, degree: int, held_out: int, budget: int = 100_000
+) -> ChamberNodes:
+    """The nodes for a fit of the given degree in the witness's chamber.
+
+    The witness slides down its chamber by unit steps that lower its degree
+    to a base point b; n - 1 linearly independent closed-cone steps v_i
+    (zero-sum vectors whose every wall sum is 0 or has the chamber's sign)
+    are taken in degree order from the boxes [-1, 1]^n, [-2, 2]^n, ...  The open
+    chamber plus its closure stays in the open chamber, so every
+    b + sum a_i v_i with a_i >= 0 lies in it, and the nodes with
+    sum a_i <= degree determine a polynomial of that degree.  Each node is
+    re-checked all the same.  The held-out points are the first `held_out`
+    points of the layers beyond the nodes, cheapest (lowest cover degree)
+    first.  Every candidate check counts toward the budget.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if held_out < 0:
+        raise ValueError("held_out must be nonnegative")
     n = witness.point.n
-    base = witness.point.x
     target = witness.signature.signs
-    dirs = _perturbation_directions(n)
-    found: list[RamificationProfile] = []
-    seen: set[tuple[int, ...]] = set()
     spent = 0
 
-    def consider(candidate: tuple[int, ...]) -> bool:
+    def check(test, vector: tuple[int, ...]) -> bool:
         nonlocal spent
         spent += 1
-        if candidate not in seen and _is_valid_sample(candidate, n, target):
-            seen.add(candidate)
-            found.append(RamificationProfile(candidate))
-        return len(found) >= count
+        if spent > budget:
+            raise SamplingBudgetExceededError(
+                f"node search exceeded {budget} candidate checks"
+            )
+        return test(vector, n, target)
 
-    k = 0
-    while spent < budget:
-        k += 1
-        scaled = tuple(k * v for v in base)
-        if consider(scaled):
-            return found
-        for c in range(1, k + 1):
-            for delta in dirs:
-                if spent >= budget:
+    base = witness.point.x
+    # unit steps with the signs of the point: each one lowers the degree
+    downhill = [
+        v
+        for v in _box_vectors(n, 1)
+        if all(c == 0 or (c > 0) == (b > 0) for c, b in zip(v, base))
+    ]
+    moved = True
+    while moved:
+        moved = False
+        for v in downhill:
+            while True:
+                lower = tuple(a - b for a, b in zip(base, v))
+                if not check(_is_valid_sample, lower):
                     break
-                candidate = tuple(s + c * d for s, d in zip(scaled, delta))
-                if consider(candidate):
-                    return found
-    raise SamplingBudgetExceededError(
-        f"found {len(found)} < {count} points within {budget} candidate evaluations"
+                base, moved = lower, True
+
+    steps: list[tuple[int, ...]] = []
+    echelon: list[tuple[int, list[int]]] = []
+    radius = 0
+    while len(steps) < n - 1:
+        radius += 1
+        for v in _box_vectors(n, radius):
+            if not check(_in_closed_cone, v):
+                continue
+            rest = _reduce(v, echelon)
+            pivot = next((i for i, c in enumerate(rest) if c), None)
+            if pivot is not None:
+                steps.append(v)
+                echelon.append((pivot, rest))
+                if len(steps) == n - 1:
+                    break
+
+    def checked(x: tuple[int, ...]) -> RamificationProfile:
+        if not check(_is_valid_sample, x):
+            raise AssertionError(f"lattice point {x} left the chamber of {witness.point}")
+        return RamificationProfile(x)
+
+    nodes = tuple(
+        (a, checked(lattice_point(base, steps, a)))
+        for a in monomials_up_to_degree(n - 1, degree)
+    )
+    extra: list[RamificationProfile] = []
+    layer = degree
+    while len(extra) < held_out:
+        layer += 1
+        ring = [lattice_point(base, steps, a) for a in compositions(layer, n - 1)]
+        ring.sort(key=lambda x: sum(v for v in x if v > 0))
+        extra.extend(checked(x) for x in ring[: held_out - len(extra)])
+    return ChamberNodes(
+        base=RamificationProfile(base),
+        steps=tuple(steps),
+        nodes=nodes,
+        held_out=tuple(extra),
     )
 
 

@@ -22,7 +22,13 @@ from typing import Callable, Sequence
 from . import __version__
 from .chambers import ChamberWitness, Wall, adjacent_chamber, walls
 from .errors import HurwitzlabError, InvalidProfileError
-from .exact import MultiPoly, interpolate, monomials_up_to_degree, poly_divmod
+from .exact import (
+    MultiPoly,
+    lattice_point,
+    monomials_up_to_degree,
+    newton_interpolate,
+    poly_divmod,
+)
 from .hurwitz import (
     RamificationProfile,
     enumerate_profiles,
@@ -421,17 +427,22 @@ def _check_orthogonality(max_d: int = 8) -> CheckResult:
 def _check_interpolation_roundtrip() -> CheckResult:
     rng = random.Random(20240901)
     for n, degree in ((2, 3), (3, 2), (4, 2)):
-        monos = monomials_up_to_degree(n - 1, degree)
+        m = n - 1
+        monos = monomials_up_to_degree(m, degree)
         terms = {
             exps: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for exps in monos
         }
         poly = MultiPoly(n, terms)
-        # spread the nodes out; consecutive grid points are rank-deficient
-        grid = list(itertools.product(range(-3, 4), repeat=n - 1))
-        rng.shuffle(grid)
-        points = [free + (-sum(free),) for free in grid[: len(monos) + 5]]
-        values = [poly.evaluate(p) for p in points]
-        refit = interpolate(points, values, degree)
+        # free coordinates 2 on the diagonal and 1 above it: determinant 2^m,
+        # so the substitution back to x has true fractions
+        frees = [
+            tuple(2 if j == i else 1 if j > i else 0 for j in range(m)) for i in range(m)
+        ]
+        steps = [free + (-sum(free),) for free in frees]
+        base = (3,) + (-1,) * (m - 1)
+        base += (-sum(base),)
+        values = {a: poly.evaluate(lattice_point(base, steps, a)) for a in monos}
+        refit = newton_interpolate(base, steps, values, degree)
         if refit != poly:
             return CheckResult(
                 name="interpolation round trip",
@@ -543,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="held-out validation points beyond the monomial count",
     )
     fit.add_argument(
-        "--budget", type=int, default=100_000, help="chamber sampling budget"
+        "--budget", type=int, default=100_000, help="node search budget"
     )
     fit.set_defaults(func=cmd_fit)
 
@@ -561,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=100_000,
-        help="sampling and adjacency search budget",
+        help="node and adjacency search budget",
     )
     wallcross.set_defaults(func=cmd_wallcross)
 

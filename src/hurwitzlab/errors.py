@@ -25,18 +25,6 @@ class NonZeroSumError(HurwitzlabError):
     code = "NONZERO_SUM"
 
 
-class UnderdeterminedError(HurwitzlabError):
-    """Interpolation matrix has deficient column rank; supply more points."""
-
-    code = "UNDERDETERMINED"
-
-
-class InconsistentSystemError(HurwitzlabError):
-    """No polynomial of the requested degree matches the supplied values."""
-
-    code = "INCONSISTENT"
-
-
 class InvalidProfileError(HurwitzlabError):
     """A ramification profile violates its invariants."""
 
@@ -66,7 +54,7 @@ class OnWallError(HurwitzlabError):
 
 
 class SamplingBudgetExceededError(HurwitzlabError):
-    """Chamber sampling ran out of candidate evaluations."""
+    """The search for a chamber's fit nodes ran out of candidate checks."""
 
     code = "SAMPLING_BUDGET_EXCEEDED"
 
@@ -84,7 +72,7 @@ class NotAdjacentError(HurwitzlabError):
 
 
 class NotPolynomialError(HurwitzlabError):
-    """Held-out validation failed: sampled values are not polynomial."""
+    """A fit failed held-out validation or left the degree window."""
 
     code = "NOT_POLYNOMIAL"
 

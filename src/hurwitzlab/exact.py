@@ -8,23 +8,18 @@ vectors over the free variables x_1 .. x_{n-1} to rational coefficients.
 Two polynomials take equal values on the whole lattice iff their canonical
 term maps are equal, which makes polynomial identity testing exact.
 
-Monomials are ordered graded-lexicographically with x_1 > x_2 > ... both for
-printing and for the interpolation columns, so output is deterministic.
+Monomials are ordered graded-lexicographically with x_1 > x_2 > ... for
+printing, so output is deterministic.  ``newton_interpolate`` recovers a
+polynomial from its values on an affine principal lattice by forward
+differences, with no linear system to solve.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    InconsistentSystemError,
-    NonZeroSumError,
-    UnderdeterminedError,
-)
+from .errors import DimensionMismatchError, NonZeroSumError
 
 # Exact rational scalar used everywhere.  The stdlib type already guarantees
 # lowest-terms storage with a positive denominator and exact arithmetic.
@@ -37,7 +32,7 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _compositions(total: int, parts: int) -> Iterator[Exponents]:
+def compositions(total: int, parts: int) -> Iterator[Exponents]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 0:
         if total == 0:
@@ -47,15 +42,19 @@ def _compositions(total: int, parts: int) -> Iterator[Exponents]:
         yield (total,)
         return
     for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+        for rest in compositions(total - head, parts - 1):
             yield (head,) + rest
 
 
 def monomials_up_to_degree(num_vars: int, degree: int) -> list[Exponents]:
-    """Exponent vectors of total degree <= degree, graded-lex ascending."""
+    """Exponent vectors of total degree <= degree, graded-lex ascending.
+
+    Read as lattice coordinates a (a_i >= 0, sum a_i <= degree), this is also
+    the simplex lattice of ``newton_interpolate`` in its lattice order.
+    """
     out: list[Exponents] = []
     for total in range(degree + 1):
-        out.extend(_compositions(total, num_vars))
+        out.extend(compositions(total, num_vars))
     out.sort(key=_grlex_key)
     return out
 
@@ -120,33 +119,6 @@ class MultiPoly:
             exps[i] = 1
             terms[tuple(exps)] = Fraction(-1)
         return cls(n, terms)
-
-    @classmethod
-    def from_raw_terms(
-        cls, n: int, raw: Mapping[Exponents, Fraction | int]
-    ) -> MultiPoly:
-        """Canonicalize a polynomial given with exponents over all n variables.
-
-        Each power of x_n is expanded multinomially as (-(x_1+...+x_{n-1}))^e,
-        so raw representations differing by a multiple of x_1+...+x_n collapse
-        to the same canonical form.
-        """
-        acc: dict[Exponents, Fraction] = {}
-        for exps, coeff in raw.items():
-            key = tuple(exps)
-            if len(key) != n:
-                raise ValueError(
-                    f"raw exponent vector {key} has length {len(key)}, expected {n}"
-                )
-            head, last = key[:-1], key[-1]
-            sign = Fraction(-1) ** last
-            for comp in _compositions(last, n - 1):
-                weight = math.factorial(last)
-                for c in comp:
-                    weight //= math.factorial(c)
-                merged = tuple(h + c for h, c in zip(head, comp))
-                acc[merged] = acc.get(merged, Fraction(0)) + sign * weight * Fraction(coeff)
-        return cls(n, acc)
 
     # -- structural protocol ----------------------------------------------
 
@@ -279,15 +251,6 @@ class MultiPoly:
             "terms": {",".join(map(str, e)): str(c) for e, c in self.terms},
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> MultiPoly:
-        n = int(data["n"])
-        terms = {
-            tuple(int(p) for p in key.split(",")) if key else (): Fraction(value)
-            for key, value in data["terms"].items()
-        }
-        return cls(n, terms)
-
 
 def poly_divmod(p: MultiPoly, divisor: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Exact division of p by a single divisor in graded-lex order.
@@ -326,89 +289,107 @@ def poly_divmod(p: MultiPoly, divisor: MultiPoly) -> tuple[MultiPoly, MultiPoly]
     return MultiPoly(p.n, quotient), MultiPoly(p.n, remainder)
 
 
-def interpolate(
-    points: Sequence[Sequence[int]],
-    values: Sequence[Fraction | int],
-    degree_bound: int,
-) -> MultiPoly:
-    """Recover the unique polynomial of total degree <= degree_bound matching
-    every (point, value) pair, by exact Gaussian elimination.
+def lattice_point(
+    base: Sequence[int], steps: Sequence[Sequence[int]], a: Sequence[int]
+) -> tuple[int, ...]:
+    """base + sum_i a_i * steps[i]."""
+    return tuple(
+        b + sum(k * step[j] for k, step in zip(a, steps)) for j, b in enumerate(base)
+    )
 
-    Points are zero-sum integer vectors; the system is set up over the free
-    coordinates x_1..x_{n-1}.  Supplying more points than monomials turns the
-    extra rows into a consistency check: an overdetermined system with no
-    solution raises InconsistentSystemError (the values are not polynomial of
-    this degree on these points, e.g. they straddle a wall), while deficient
-    column rank raises UnderdeterminedError (more points needed).
-    """
-    if not points:
-        raise ValueError("at least one interpolation point is required")
-    if len(points) != len(values):
-        raise ValueError(
-            f"{len(points)} points but {len(values)} values supplied"
-        )
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    n = len(points[0])
-    projections = set()
-    for point in points:
-        if len(point) != n:
-            raise DimensionMismatchError("interpolation points have mixed lengths")
-        if sum(point) != 0:
-            raise NonZeroSumError(f"point {tuple(point)} does not sum to zero")
-        proj = tuple(point[: n - 1])
-        if proj in projections:
-            raise ValueError(f"duplicate free-coordinate projection {proj}")
-        projections.add(proj)
 
-    monos = monomials_up_to_degree(n - 1, degree_bound)
-    rows: list[list[Fraction]] = []
-    for point, value in zip(points, values):
-        free = point[: n - 1]
-        row = []
-        for exps in monos:
-            entry = Fraction(1)
-            for v, e in zip(free, exps):
-                if e:
-                    entry *= Fraction(v) ** e
-            row.append(entry)
-        row.append(Fraction(value))
-        rows.append(row)
-
-    num_cols = len(monos)
-    pivot_of_col: dict[int, int] = {}
-    pivot_row = 0
-    for col in range(num_cols):
-        pivot = next(
-            (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
-        )
+def _inverse(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
+    """The exact inverse of a small square matrix, or None if it is singular."""
+    size = len(matrix)
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
         if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [v / lead for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_of_col[col] = pivot_row
-        pivot_row += 1
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
 
-    for r in range(pivot_row, len(rows)):
-        if rows[r][-1] != 0:
-            raise InconsistentSystemError(
-                "no polynomial of degree <= "
-                f"{degree_bound} matches the supplied values"
+
+def newton_interpolate(
+    base: Sequence[int],
+    steps: Sequence[Sequence[int]],
+    values: Mapping[Exponents, Fraction | int],
+    degree: int,
+) -> MultiPoly:
+    """The unique polynomial of total degree <= degree taking the value
+    values[a] at lattice_point(base, steps, a), for every a in the simplex
+    lattice a_i >= 0, sum a_i <= degree.
+
+    base is a zero-sum point of length n and steps are n - 1 linearly
+    independent zero-sum vectors.  Such a lattice is unisolvent for the
+    degree (Chung-Yao), so nothing is solved: the forward differences
+    c_k = Delta^k f(0) are taken one axis at a time, and the Newton form
+    sum_k c_k prod_i C(a_i, k_i) is expanded by Horner's rule after the
+    substitution a = V^-1 (x - base), V the matrix of the steps' free
+    coordinates.
+    """
+    n = len(base)
+    m = n - 1
+    if n < 2:
+        raise ValueError(f"ambient dimension must be >= 2, got {n}")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if len(steps) != m:
+        raise DimensionMismatchError(f"need {m} steps for n={n}, got {len(steps)}")
+    for vector in (base, *steps):
+        if len(vector) != n:
+            raise DimensionMismatchError(
+                f"{tuple(vector)} has length {len(vector)}, expected {n}"
             )
-    if len(pivot_of_col) < num_cols:
-        raise UnderdeterminedError(
-            f"evaluation matrix has column rank {len(pivot_of_col)} < {num_cols}; "
-            "supply more points"
-        )
+        if sum(vector) != 0:
+            raise NonZeroSumError(f"{tuple(vector)} does not sum to zero")
+    inverse = _inverse([[step[j] for step in steps] for j in range(m)])
+    if inverse is None:
+        raise ValueError("the steps are linearly dependent")
+    lattice = monomials_up_to_degree(m, degree)
+    missing = [a for a in lattice if a not in values]
+    if missing:
+        raise ValueError(f"no value at {len(missing)} lattice points, e.g. {missing[0]}")
 
-    coeffs = {
-        monos[col]: rows[row][-1]
-        for col, row in pivot_of_col.items()
-        if rows[row][-1] != 0
-    }
-    return MultiPoly(n, coeffs)
+    table = {a: Fraction(values[a]) for a in lattice}
+    for axis in range(m):
+        # descending along the axis, so each subtraction reads the lower
+        # difference order of its neighbour
+        along = sorted(lattice, key=lambda a: -a[axis])
+        for order in range(1, degree + 1):
+            for a in along:
+                if a[axis] < order:
+                    break
+                table[a] -= table[a[:axis] + (a[axis] - 1,) + a[axis + 1 :]]
+
+    # a_i as a linear polynomial in x_1..x_{n-1}
+    coords = []
+    for row in inverse:
+        terms = {(0,) * j + (1,) + (0,) * (m - 1 - j): w for j, w in enumerate(row)}
+        terms[(0,) * m] = -sum(w * b for w, b in zip(row, base))
+        coords.append(MultiPoly(n, terms))
+    # (a_i - k) / (k + 1), the ratio C(a_i, k + 1) / C(a_i, k)
+    ratios = [
+        [(a_i - MultiPoly.constant(n, k)) * Fraction(1, k + 1) for k in range(degree)]
+        for a_i in coords
+    ]
+
+    def expand(axis: int, prefix: Exponents) -> MultiPoly:
+        if axis == m:
+            return MultiPoly.constant(n, table[prefix])
+        top = degree - sum(prefix)
+        acc = expand(axis + 1, prefix + (top,))
+        for k in range(top - 1, -1, -1):
+            acc = expand(axis + 1, prefix + (k,)) + acc * ratios[axis][k]
+        return acc
+
+    return expand(0, ())

@@ -1,31 +1,30 @@
 """Chamber polynomials, wall-crossing polynomials, and the genus-0 product rule.
 
 The count is a polynomial of total degree at most 4g - 3 + n on each chamber;
-``fit_chamber`` recovers that polynomial by exact interpolation at in-chamber
-lattice points and proves it on held-out points.  ``wall_crossing`` is the
-difference of two adjacent chamber polynomials.  For genus 0 the crossing
-also factors through a two-block product formula whose binomial and sign
-bookkeeping is resolved empirically against the fitted crossing polynomial;
-the winning convention is recorded here and asserted by the test suite.
+``fit_chamber`` recovers that polynomial by Newton interpolation on an
+in-chamber lattice that determines it, and proves it on held-out points.
+``wall_crossing`` is the difference of two adjacent chamber polynomials.  For
+genus 0 the crossing also factors through a two-block product formula whose
+binomial and sign bookkeeping is resolved empirically against the fitted
+crossing polynomial; the winning convention is recorded here and asserted by
+the test suite.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .chambers import ChamberWitness, Wall, sample_chamber
+from .chambers import ChamberWitness, Wall, chamber_nodes
 from .errors import (
     BlockUnbalancedError,
     NotAdjacentError,
     NotPolynomialError,
-    UnderdeterminedError,
     UnstableCaseError,
 )
-from .exact import MultiPoly, interpolate
+from .exact import MultiPoly, newton_interpolate
 from .hurwitz import (
     RamificationProfile,
     frobenius_connected,
@@ -91,10 +90,13 @@ def fit_chamber(
 ) -> ChamberPolynomial:
     """Fit the chamber polynomial at the witness's chamber.
 
-    Samples (number of monomials of degree <= 4g-3+n) + oversample lattice
-    points in the chamber, evaluates the count via the character route (with
-    oracle spot checks on the lowest-degree nodes as a cross-check),
-    interpolates exactly, and proves the fit on the held-out points.
+    Evaluates the count via the character route on the lattice nodes of
+    ``chamber_nodes``, which determine a polynomial of degree 4g-3+n,
+    recovers it by Newton differences, and proves the fit on `oversample`
+    held-out lattice points.  The `spot_checks` cheapest evaluated points
+    (lowest cover degree, then lattice order, so the base point first) are
+    cross-checked against the enumeration oracle, and every term degree must
+    lie in the window [2g-3+n, 4g-3+n] with the parity of 4g-3+n.
 
     For n = 2, g = 0 the count is 1/d, which is not polynomial, and the fit
     refuses with UnstableCaseError.
@@ -108,56 +110,37 @@ def fit_chamber(
         raise ValueError("oversample must be positive")
     degree_bound = 4 * g - 3 + n
     simple_branch_count(g, n)  # raises for impossible (g, n)
-    num_monomials = math.comb(degree_bound + n - 1, n - 1)
     evaluate = evaluator or _default_evaluator
 
-    # The deterministic sampler returns the same prefix when asked for more
-    # points, so evaluations are cached across rank-deficiency retries.
-    known: dict[tuple[int, ...], Fraction] = {}
+    design = chamber_nodes(witness, degree_bound, oversample, sampling_budget)
+    values = {a: evaluate(p, g) for a, p in design.nodes}
+    poly = newton_interpolate(design.base.x, design.steps, values, degree_bound)
+    held_out = [(p, evaluate(p, g)) for p in design.held_out]
 
-    def values_for(batch: list[RamificationProfile]) -> list[Fraction]:
-        out = []
-        for p in batch:
-            if p.x not in known:
-                known[p.x] = evaluate(p, g)
-            out.append(known[p.x])
-        return out
-
-    fit_size = num_monomials
-    while True:
-        points = sample_chamber(witness, fit_size + oversample, sampling_budget)
-        values = values_for(points)
-        try:
-            poly = interpolate(
-                [p.x for p in points[:fit_size]], values[:fit_size], degree_bound
+    evaluated = [(p, values[a]) for a, p in design.nodes] + held_out
+    cheapest = sorted(range(len(evaluated)), key=lambda i: (evaluated[i][0].degree, i))
+    for i in cheapest[: max(spot_checks, 0)]:
+        point, value = evaluated[i]
+        checked = oracle_count(point, g, budget=oracle_budget).value
+        if checked != value:
+            raise AssertionError(
+                f"evaluator disagrees with the oracle at {point}: {value} vs {checked}"
             )
-            break
-        except UnderdeterminedError:
-            if fit_size >= 4 * num_monomials:
-                raise
-            fit_size += max(num_monomials // 2, 4)
 
-    if spot_checks > 0:
-        # Cross-check the evaluator against the enumeration oracle on the
-        # cheapest nodes (lowest degree), chosen with a fixed seed.
-        by_degree = sorted(range(len(points)), key=lambda i: (points[i].degree, i))
-        pool = by_degree[: max(spot_checks, 4)]
-        picked = random.Random(0).sample(pool, min(spot_checks, len(pool)))
-        for i in picked:
-            checked = oracle_count(points[i], g, budget=oracle_budget).value
-            if checked != values[i]:
-                raise AssertionError(
-                    f"evaluator disagrees with the oracle at {points[i]}: "
-                    f"{values[i]} vs {checked}"
-                )
-
-    held_out = list(zip(points[fit_size:], values[fit_size:]))
     for point, value in held_out:
         got = poly.evaluate(point.x)
         if got != value:
             raise NotPolynomialError(
                 f"fit fails at held-out point {point}: polynomial gives {got}, "
                 f"count is {value}"
+            )
+    low = 2 * g - 3 + n
+    for exps, _ in poly.terms:
+        term_degree = sum(exps)
+        if not low <= term_degree <= degree_bound or (degree_bound - term_degree) % 2:
+            raise NotPolynomialError(
+                f"fitted term of degree {term_degree} lies outside the window "
+                f"[{low}, {degree_bound}] with the parity of {degree_bound}"
             )
     return ChamberPolynomial(
         witness=witness,

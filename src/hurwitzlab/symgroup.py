@@ -1,12 +1,10 @@
-"""Partitions, permutations of {1..d}, class data, and irreducible characters.
+"""Partitions, class data, and irreducible characters of the symmetric group.
 
 Characters come a column at a time: ``character_column(mu)`` maps every
 partition lambda with chi_lambda(mu) != 0 to that value.  It runs the
 Murnaghan-Nakayama rule forwards, adding rim hooks of the lengths in mu to the
 empty partition on a beta-set, and is memoized, so no tables are shipped and
-any degree works.  Permutations compose left-to-right: (sigma * tau)(i) =
-tau(sigma(i)); the convention is fixed here and used consistently everywhere
-a product of monodromy factors is formed.
+any degree works.
 """
 
 from __future__ import annotations
@@ -46,69 +44,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..d} stored as its image word."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if tuple(sorted(self.images)) != tuple(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
-
-    @classmethod
-    def identity(cls, d: int) -> Permutation:
-        return cls(tuple(range(1, d + 1)))
-
-    @classmethod
-    def from_cycles(cls, d: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-        images = list(range(1, d + 1))
-        for cycle in cycles:
-            for i, entry in enumerate(cycle):
-                images[entry - 1] = cycle[(i + 1) % len(cycle)]
-        return cls(tuple(images))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        # left-to-right: apply self first, then other
-        if self.degree != other.degree:
-            raise ValueError("permutations act on different sets")
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
-
-    def inverse(self) -> Permutation:
-        images = [0] * self.degree
-        for i, v in enumerate(self.images):
-            images[v - 1] = i + 1
-        return Permutation(tuple(images))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.degree
-        out: list[tuple[int, ...]] = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self(nxt)
-            out.append(tuple(cycle))
-        return out
-
-
-def cycle_type(sigma: Permutation) -> Partition:
-    """The multiset of cycle lengths of sigma, sorted decreasing."""
-    return Partition.from_iterable(len(c) for c in sigma.cycles())
 
 
 def z_lambda(lam: Partition) -> int:
@@ -170,30 +105,3 @@ def character_column(mu: Partition) -> dict[Partition, int]:
                 grown[new_lam] = grown.get(new_lam, 0) + (-1) ** height * chi
         column = {lam: chi for lam, chi in grown.items() if chi}
     return {Partition(lam): chi for lam, chi in column.items()}
-
-
-def is_transitive(d: int, gens: Iterable[Permutation]) -> bool:
-    """True iff the group generated by gens acts transitively on {1..d}.
-
-    Union-find over the points, uniting i with sigma(i) for each generator.
-    """
-    if d <= 0:
-        raise ValueError("the ground set must be nonempty")
-    parent = list(range(d))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    components = d
-    for sigma in gens:
-        if sigma.degree != d:
-            raise ValueError(f"generator acts on {sigma.degree} points, expected {d}")
-        for i in range(1, d + 1):
-            a, b = find(i - 1), find(sigma(i) - 1)
-            if a != b:
-                parent[a] = b
-                components -= 1
-    return components == 1

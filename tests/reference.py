@@ -1,0 +1,216 @@
+"""Reference code that only the tests use.
+
+The package recovers chamber polynomials by Newton differences on a lattice
+that always determines them; the dense Gauss-Jordan solver below is the
+independent route the tests compare it against.  The permutation helpers,
+the determinant and the polynomial constructors serve tests that check the
+package's conventions from first principles.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
+
+from hurwitzlab.chambers import ChamberSignature, Wall, walls
+from hurwitzlab.exact import Exponents, MultiPoly, compositions, monomials_up_to_degree
+from hurwitzlab.symgroup import Partition
+
+
+class InconsistentSystemError(ValueError):
+    """No polynomial of the requested degree matches the supplied values."""
+
+
+class UnderdeterminedError(ValueError):
+    """The evaluation matrix has deficient column rank; supply more points."""
+
+
+def interpolate(
+    points: Sequence[Sequence[int]],
+    values: Sequence[Fraction | int],
+    degree_bound: int,
+) -> MultiPoly:
+    """The unique polynomial of total degree <= degree_bound matching every
+    (point, value) pair, by exact Gauss-Jordan elimination.
+
+    Extra points are consistency checks: a system with no solution raises
+    InconsistentSystemError, deficient column rank raises UnderdeterminedError.
+    """
+    if not points:
+        raise ValueError("at least one interpolation point is required")
+    if len(points) != len(values):
+        raise ValueError(f"{len(points)} points but {len(values)} values supplied")
+    n = len(points[0])
+    projections = {tuple(point[: n - 1]) for point in points}
+    if len(projections) != len(points):
+        raise ValueError("duplicate free-coordinate projection")
+    if any(len(point) != n or sum(point) != 0 for point in points):
+        raise ValueError("points must be zero-sum vectors of one length")
+
+    monos = monomials_up_to_degree(n - 1, degree_bound)
+    rows = []
+    for point, value in zip(points, values):
+        free = [Fraction(v) for v in point[: n - 1]]
+        row = [
+            math.prod((v**e for v, e in zip(free, exps)), start=Fraction(1))
+            for exps in monos
+        ]
+        rows.append(row + [Fraction(value)])
+
+    pivot_of_col: dict[int, int] = {}
+    pivot_row = 0
+    for col in range(len(monos)):
+        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        lead = rows[pivot_row][col]
+        rows[pivot_row] = [v / lead for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_of_col[col] = pivot_row
+        pivot_row += 1
+
+    if any(rows[r][-1] != 0 for r in range(pivot_row, len(rows))):
+        raise InconsistentSystemError(
+            f"no polynomial of degree <= {degree_bound} matches the supplied values"
+        )
+    if len(pivot_of_col) < len(monos):
+        raise UnderdeterminedError(
+            f"evaluation matrix has column rank {len(pivot_of_col)} < {len(monos)}"
+        )
+    return MultiPoly(n, {monos[col]: rows[row][-1] for col, row in pivot_of_col.items()})
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Leibniz expansion, independent of any elimination code."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(len(rows)))
+    return total
+
+
+def raw_terms_poly(n: int, raw: Mapping[Exponents, Fraction | int]) -> MultiPoly:
+    """Canonicalize a polynomial given with exponents over all n variables.
+
+    Each power of x_n is expanded multinomially as (-(x_1+...+x_{n-1}))^e.
+    """
+    acc: dict[Exponents, Fraction] = {}
+    for exps, coeff in raw.items():
+        head, last = tuple(exps[:-1]), exps[-1]
+        for comp in compositions(last, n - 1):
+            weight = math.factorial(last)
+            for c in comp:
+                weight //= math.factorial(c)
+            merged = tuple(h + c for h, c in zip(head, comp))
+            term = (-1) ** last * weight * Fraction(coeff)
+            acc[merged] = acc.get(merged, Fraction(0)) + term
+    return MultiPoly(n, acc)
+
+
+def poly_from_json(data: Mapping) -> MultiPoly:
+    """Inverse of ``MultiPoly.to_json_dict``."""
+    terms = {
+        tuple(int(p) for p in key.split(",")) if key else (): Fraction(value)
+        for key, value in data["terms"].items()
+    }
+    return MultiPoly(int(data["n"]), terms)
+
+
+def sign_at(sig: ChamberSignature, wall: Wall) -> int:
+    return sig.signs[walls(sig.n).index(wall)]
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A permutation of {1..d} stored as its image word.
+
+    Products compose left to right: (sigma * tau)(i) = tau(sigma(i)).
+    """
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        if tuple(sorted(self.images)) != tuple(range(1, len(self.images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+
+    @classmethod
+    def identity(cls, d: int) -> Permutation:
+        return cls(tuple(range(1, d + 1)))
+
+    @classmethod
+    def from_cycles(cls, d: int, cycles: Iterable[Sequence[int]]) -> Permutation:
+        images = list(range(1, d + 1))
+        for cycle in cycles:
+            for i, entry in enumerate(cycle):
+                images[entry - 1] = cycle[(i + 1) % len(cycle)]
+        return cls(tuple(images))
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    def __call__(self, i: int) -> int:
+        return self.images[i - 1]
+
+    def __mul__(self, other: Permutation) -> Permutation:
+        if self.degree != other.degree:
+            raise ValueError("permutations act on different sets")
+        return Permutation(tuple(other.images[v - 1] for v in self.images))
+
+    def inverse(self) -> Permutation:
+        images = [0] * self.degree
+        for i, v in enumerate(self.images):
+            images[v - 1] = i + 1
+        return Permutation(tuple(images))
+
+    def cycles(self) -> list[tuple[int, ...]]:
+        seen = [False] * self.degree
+        out: list[tuple[int, ...]] = []
+        for start in range(1, self.degree + 1):
+            if seen[start - 1]:
+                continue
+            cycle = [start]
+            seen[start - 1] = True
+            nxt = self(start)
+            while nxt != start:
+                cycle.append(nxt)
+                seen[nxt - 1] = True
+                nxt = self(nxt)
+            out.append(tuple(cycle))
+        return out
+
+
+def cycle_type(sigma: Permutation) -> Partition:
+    """The multiset of cycle lengths of sigma, sorted decreasing."""
+    return Partition.from_iterable(len(c) for c in sigma.cycles())
+
+
+def is_transitive(d: int, gens: Iterable[Permutation]) -> bool:
+    """True iff the group generated by gens acts transitively on {1..d}."""
+    if d <= 0:
+        raise ValueError("the ground set must be nonempty")
+    parent = list(range(d))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    components = d
+    for sigma in gens:
+        if sigma.degree != d:
+            raise ValueError(f"generator acts on {sigma.degree} points, expected {d}")
+        for i in range(1, d + 1):
+            a, b = find(i - 1), find(sigma(i) - 1)
+            if a != b:
+                parent[a] = b
+                components -= 1
+    return components == 1

@@ -28,7 +28,7 @@ from hurwitzlab.piecewise import (
     product_formula_wc,
     wall_crossing,
 )
-from hurwitzlab.chambers import adjacent_chamber, sample_chamber
+from hurwitzlab.chambers import adjacent_chamber, chamber_nodes
 
 P_POINT = (7, 1, -2, -3, -3)
 Q_POINT = (9, 4, -5, -5, -3)
@@ -156,7 +156,7 @@ def test_criterion_6_product_formula(example_pair):
 
     extra = [
         p
-        for p in sample_chamber(ChamberWitness.at(q), 8)
+        for _, p in chamber_nodes(ChamberWitness.at(q), 2, 0).nodes
         if p.x != q.x
     ][:5]
     assert len(extra) == 5

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
 
 from hurwitzlab.chambers import (
-    ChamberSignature,
     ChamberWitness,
     Wall,
     adjacent_chamber,
-    sample_chamber,
+    chamber_nodes,
     signature,
     walls,
 )
@@ -21,6 +22,7 @@ from hurwitzlab.errors import (
     SamplingBudgetExceededError,
 )
 from hurwitzlab.hurwitz import RamificationProfile
+from reference import determinant, sign_at
 
 EXAMPLE_C1 = RamificationProfile((7, 1, -2, -3, -3))
 EXAMPLE_C2 = RamificationProfile((9, 4, -5, -5, -3))
@@ -100,35 +102,111 @@ def test_witness_validation():
         ChamberWitness(EXAMPLE_C1, wrong)
 
 
-# -- sampling -------------------------------------------------------------------
+# -- fit nodes -------------------------------------------------------------------
+
+
+def _step_matrix(steps) -> list[tuple[int, ...]]:
+    return [step[:-1] for step in steps]
 
 
 def test_sample_includes_scalings_for_two_parts():
-    witness = ChamberWitness.at(RamificationProfile((1, -1)))
-    points = {p.x for p in sample_chamber(witness, 3)}
-    assert {(1, -1), (2, -2), (3, -3)} <= points
+    design = chamber_nodes(ChamberWitness.at(RamificationProfile((1, -1))), 2, 3)
+    assert design.base.x == (1, -1) and design.steps == ((1, -1),)
+    assert [p.x for _, p in design.nodes] == [(1, -1), (2, -2), (3, -3)]
+    assert [p.x for p in design.held_out] == [(4, -4), (5, -5), (6, -6)]
 
 
 def test_sample_points_share_the_signature():
     witness = ChamberWitness.at(EXAMPLE_C1)
-    points = sample_chamber(witness, 20)
-    assert len(points) == 20
-    assert len({p.x for p in points}) == 20
+    design = chamber_nodes(witness, 3, 5)
+    points = [p for _, p in design.nodes] + list(design.held_out)
+    assert len(design.nodes) == math.comb(3 + 4, 4)
+    assert len(design.held_out) == 5
+    assert len({p.x for p in points}) == len(points)
+    assert design.base.degree <= EXAMPLE_C1.degree
     for p in points:
         assert signature(p) == witness.signature
+    for a, p in design.nodes:
+        assert p.x == tuple(
+            b + sum(k * step[j] for k, step in zip(a, design.steps))
+            for j, b in enumerate(design.base.x)
+        )
 
 
 def test_sample_is_deterministic_and_prefix_stable():
     witness = ChamberWitness.at(EXAMPLE_C2)
-    first = [p.x for p in sample_chamber(witness, 8)]
-    second = [p.x for p in sample_chamber(witness, 12)]
-    assert second[:8] == first
+    first = chamber_nodes(witness, 2, 5)
+    again = chamber_nodes(witness, 2, 5)
+    assert first == again
+    larger = chamber_nodes(witness, 3, 5)
+    assert larger.nodes[: len(first.nodes)] == first.nodes
+    held = [p.degree for p in first.held_out]
+    assert held == sorted(held)
+
+
+def test_base_slides_down_to_a_low_point():
+    witness = ChamberWitness.at(RamificationProfile(tuple(4 * v for v in EXAMPLE_C1.x)))
+    base = chamber_nodes(witness, 0, 0).base
+    assert signature(base) == witness.signature
+    assert base.degree < EXAMPLE_C1.degree
+    # no unit step with the base's signs leads further down inside the chamber
+    n = base.n
+    for free in itertools.product((-1, 0, 1), repeat=n - 1):
+        step = free + (-sum(free),)
+        if any(c and (c > 0) != (b > 0) for c, b in zip(step, base.x)) or not any(step):
+            continue
+        lower = tuple(b - c for b, c in zip(base.x, step))
+        if 0 in lower:
+            continue
+        try:
+            assert signature(RamificationProfile(lower)) != witness.signature
+        except OnWallError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "entries", [(2, 1, -3), EXAMPLE_C1.x, EXAMPLE_C2.x, (-1, -1, -1, 3)]
+)
+def test_step_matrix_is_invertible_and_in_the_closed_cone(entries):
+    witness = ChamberWitness.at(RamificationProfile(entries))
+    design = chamber_nodes(witness, 1, 1)
+    n = len(entries)
+    assert len(design.steps) == n - 1
+    assert determinant(_step_matrix(design.steps)) != 0
+    for step in design.steps:
+        assert sum(step) == 0
+        for wall, want in zip(walls(n), witness.signature.signs):
+            assert wall.subset_sum(step) * want >= 0
 
 
 def test_sample_budget_error():
-    witness = ChamberWitness.at(RamificationProfile((1, -1)))
+    witness = ChamberWitness.at(EXAMPLE_C1)
     with pytest.raises(SamplingBudgetExceededError):
-        sample_chamber(witness, 1000, budget=50)
+        chamber_nodes(witness, 2, 5, budget=10)
+
+
+def test_every_small_chamber_gets_a_full_step_basis():
+    # every chamber met by a point whose free coordinates lie in [-4, 4];
+    # 76 of the 146 five-part ones need a step from the [-2, 2] box
+    wide_steps = 0
+    for n in (2, 3, 4, 5):
+        chambers = {}
+        for free in itertools.product(range(-4, 5), repeat=n - 1):
+            point = free + (-sum(free),)
+            if 0 in point:
+                continue
+            try:
+                witness = ChamberWitness.at(RamificationProfile(point))
+            except OnWallError:
+                continue
+            chambers.setdefault(witness.signature, witness)
+        for witness in chambers.values():
+            design = chamber_nodes(witness, 0, 0)
+            assert len(design.steps) == n - 1
+            assert determinant(_step_matrix(design.steps)) != 0
+            wide_steps += any(max(map(abs, step)) > 1 for step in design.steps)
+        assert len(chambers) == {2: 2, 3: 6, 4: 32, 5: 146}[n]
+    assert wide_steps == 76
 
 
 # -- adjacency -------------------------------------------------------------------
@@ -162,5 +240,5 @@ def test_signature_flip_helper():
     sig = signature(EXAMPLE_C1)
     wall = Wall.canonical((2, 5), 5)
     flipped = sig.flipped(wall)
-    assert flipped.sign_at(wall) == -sig.sign_at(wall)
+    assert sign_at(flipped, wall) == -sign_at(sig, wall)
     assert [w.indices for w in sig.differing_walls(flipped)] == [(2, 5)]

@@ -1,4 +1,8 @@
-"""Tests for exact rationals, canonical polynomials, and interpolation."""
+"""Tests for exact rationals, canonical polynomials, and interpolation.
+
+Newton interpolation on a lattice is the package's route; the Gauss-Jordan
+solver in ``reference`` is the independent route it is compared against.
+"""
 
 from __future__ import annotations
 
@@ -9,17 +13,21 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzlab.errors import (
-    DimensionMismatchError,
-    InconsistentSystemError,
-    NonZeroSumError,
-    UnderdeterminedError,
-)
+from hurwitzlab.errors import DimensionMismatchError, NonZeroSumError
 from hurwitzlab.exact import (
     MultiPoly,
-    interpolate,
+    lattice_point,
     monomials_up_to_degree,
+    newton_interpolate,
     poly_divmod,
+)
+from reference import (
+    InconsistentSystemError,
+    UnderdeterminedError,
+    determinant,
+    interpolate,
+    poly_from_json,
+    raw_terms_poly,
 )
 
 
@@ -143,9 +151,7 @@ def test_canonical_equality_is_a_congruence():
         shifted = dict(p_raw)
         for key, coeff in _raw_mul(full_sum, q_raw).items():
             shifted[key] = shifted.get(key, 0) + coeff
-        assert MultiPoly.from_raw_terms(n, p_raw) == MultiPoly.from_raw_terms(
-            n, shifted
-        )
+        assert raw_terms_poly(n, p_raw) == raw_terms_poly(n, shifted)
 
 
 def test_variable_n_expands():
@@ -183,17 +189,46 @@ def test_chamber2_polynomial_is_homogeneous():
 # -- interpolation -----------------------------------------------------------
 
 
+def _lattice(base, steps, degree):
+    """The nodes of newton_interpolate, keyed by lattice coordinates."""
+    return {
+        a: lattice_point(base, steps, a) for a in monomials_up_to_degree(len(steps), degree)
+    }
+
+
 def test_interpolate_linear_recovery():
-    points = [(0, 0, 0), (1, 0, -1), (0, 1, -1), (2, 1, -3), (1, 2, -3)]
+    base, steps = (2, 1, -3), [(1, 0, -1), (1, 1, -2)]
     target = _x(3, 1) + _x(3, 2)
-    values = [target.evaluate(p) for p in points]
-    assert interpolate(points, values, 1) == target
+    values = {a: target.evaluate(p) for a, p in _lattice(base, steps, 1).items()}
+    assert newton_interpolate(base, steps, values, 1) == target
 
 
 def test_interpolate_univariate_squares():
-    points = [(d, -d) for d in (1, 2, 3)]
-    values = [Fraction(d * d) for d in (1, 2, 3)]
-    assert interpolate(points, values, 2) == MultiPoly(2, {(2,): 1})
+    values = {(k,): Fraction((k + 1) ** 2) for k in range(3)}
+    assert newton_interpolate((1, -1), [(1, -1)], values, 2) == MultiPoly(2, {(2,): 1})
+
+
+def test_newton_with_fractional_inverse_matches_gauss_jordan():
+    # the steps' free coordinates have determinant 3, so a = V^-1 (x - b)
+    # has true fractions
+    base, steps = (3, -1, -2), [(2, 1, -3), (1, 2, -3)]
+    target = MultiPoly(3, {(2, 0): Fraction(1, 2), (1, 1): -3, (0, 1): 5, (0, 0): 7})
+    nodes = _lattice(base, steps, 2)
+    values = {a: target.evaluate(p) for a, p in nodes.items()}
+    assert newton_interpolate(base, steps, values, 2) == target
+    assert interpolate(list(nodes.values()), list(values.values()), 2) == target
+
+
+def test_newton_rejects_bad_lattices():
+    values = {a: 1 for a in monomials_up_to_degree(2, 1)}
+    with pytest.raises(ValueError, match="dependent"):
+        newton_interpolate((2, 1, -3), [(1, 0, -1), (2, 0, -2)], values, 1)
+    with pytest.raises(ValueError, match="no value"):
+        newton_interpolate((2, 1, -3), [(1, 0, -1), (0, 1, -1)], {(0, 0): 1}, 1)
+    with pytest.raises(DimensionMismatchError):
+        newton_interpolate((2, 1, -3), [(1, 0, -1)], values, 1)
+    with pytest.raises(NonZeroSumError):
+        newton_interpolate((2, 1, -2), [(1, 0, -1), (0, 1, -1)], values, 1)
 
 
 def test_interpolate_inconsistent_constant():
@@ -227,11 +262,19 @@ def test_interpolate_round_trip_randomized():
                     for m in monos
                 },
             )
-            grid = list(itertools.product(range(-3, 4), repeat=n - 1))
-            rng.shuffle(grid)
-            points = [free + (-sum(free),) for free in grid[: len(monos) + 5]]
-            values = [poly.evaluate(p) for p in points]
-            assert interpolate(points, values, degree) == poly
+            while True:
+                frees = [
+                    tuple(rng.randint(-3, 3) for _ in range(n - 1)) for _ in range(n - 1)
+                ]
+                if determinant(frees) != 0:
+                    break
+            steps = [free + (-sum(free),) for free in frees]
+            free = tuple(rng.randint(-5, 5) for _ in range(n - 1))
+            base = free + (-sum(free),)
+            nodes = _lattice(base, steps, degree)
+            values = {a: poly.evaluate(p) for a, p in nodes.items()}
+            assert newton_interpolate(base, steps, values, degree) == poly
+            assert interpolate(list(nodes.values()), list(values.values()), degree) == poly
 
 
 # -- division ----------------------------------------------------------------
@@ -273,5 +316,5 @@ def test_str_graded_lex_order():
 
 def test_json_round_trip():
     p = _chamber2_poly()
-    assert MultiPoly.from_json_dict(p.to_json_dict()) == p
+    assert poly_from_json(p.to_json_dict()) == p
     assert p.to_json_dict()["terms"] == {"1,0,1,0": "-6", "1,0,0,1": "-6"}

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzlab.chambers import ChamberWitness, Wall, adjacent_chamber
+from hurwitzlab.chambers import ChamberWitness, Wall, adjacent_chamber, chamber_nodes
 from hurwitzlab.errors import (
     NotAdjacentError,
     NotPolynomialError,
     UnstableCaseError,
 )
-from hurwitzlab.exact import MultiPoly, interpolate, poly_divmod
+from hurwitzlab.exact import MultiPoly, poly_divmod
 from hurwitzlab.hurwitz import (
     RamificationProfile,
     frobenius_connected,
@@ -27,6 +27,7 @@ from hurwitzlab.piecewise import (
     product_formula_wc,
     wall_crossing,
 )
+from reference import interpolate, poly_from_json
 
 
 def _witness(*entries: int) -> ChamberWitness:
@@ -93,6 +94,70 @@ def test_fit_spot_check_catches_a_lying_evaluator():
     witness = _witness(2, 1, -3)
     with pytest.raises(AssertionError):
         fit_chamber(witness, 0, evaluator=lambda p, g: Fraction(7), spot_checks=2)
+
+
+def test_fit_spot_checks_the_base_point_first():
+    witness = _witness(7, 1, -2, -3, -3)
+    base = chamber_nodes(witness, 2, 5).base
+
+    def lies_at_base(p: RamificationProfile, g: int) -> Fraction:
+        value = frobenius_connected(p, g).value
+        return value + 1 if p == base else value
+
+    with pytest.raises(AssertionError, match="disagrees with the oracle"):
+        fit_chamber(witness, 0, evaluator=lies_at_base, spot_checks=1)
+
+
+@pytest.mark.parametrize(
+    "g, evaluator",
+    [
+        # below the window: g=0, n=4 allows degree 1 only
+        (0, lambda p, g: Fraction(5)),
+        # wrong parity: g=1, n=4 allows degrees 3 and 5
+        (1, lambda p, g: Fraction(p.x[0]) ** 4),
+    ],
+    ids=["constant", "even-degree"],
+)
+def test_fit_rejects_terms_outside_the_degree_window(g, evaluator):
+    # both evaluators are polynomial, so held-out validation passes
+    with pytest.raises(NotPolynomialError, match="window"):
+        fit_chamber(_witness(3, 1, -2, -2), g, evaluator=evaluator, spot_checks=0)
+
+
+# Recorded once from the Gauss-Jordan fit on sampled nodes that this
+# package used before the lattice design.
+PINNED_GENUS_TWO = {
+    (4, -1, -3): {
+        "8,0": "1/16", "7,1": "1/4", "6,2": "7/12", "5,3": "2/3", "4,4": "1/3",
+        "6,0": "-5/24", "5,1": "-5/12", "4,2": "-5/12", "4,0": "7/48",
+    },
+    (3, 2, -4, -1): {
+        "8,0,1": "-3/8", "7,1,1": "-3", "7,0,2": "-3/2", "6,2,1": "-21/2",
+        "6,1,2": "-21/2", "6,0,3": "-7/2", "5,3,1": "-21", "5,2,2": "-63/2",
+        "5,1,3": "-37/2", "5,0,4": "-4", "4,4,1": "-105/4", "4,3,2": "-105/2",
+        "4,2,3": "-85/2", "4,1,4": "-15", "4,0,5": "-2", "3,5,1": "-21",
+        "3,4,2": "-105/2", "3,3,3": "-55", "3,2,4": "-25", "3,1,5": "-4",
+        "2,6,1": "-21/2", "2,5,2": "-63/2", "2,4,3": "-85/2", "2,3,4": "-25",
+        "2,2,5": "-6", "1,7,1": "-3", "1,6,2": "-21/2", "1,5,3": "-37/2",
+        "1,4,4": "-15", "1,3,5": "-4", "0,8,1": "-3/8", "0,7,2": "-3/2",
+        "0,6,3": "-7/2", "0,5,4": "-4", "0,4,5": "-2", "6,0,1": "5/4",
+        "5,1,1": "15/2", "5,0,2": "5/2", "4,2,1": "75/4", "4,1,2": "25/2",
+        "4,0,3": "5/2", "3,3,1": "25", "3,2,2": "25", "3,1,3": "15/2",
+        "2,4,1": "75/4", "2,3,2": "25", "2,2,3": "10", "1,5,1": "15/2",
+        "1,4,2": "25/2", "1,3,3": "15/2", "0,6,1": "5/4", "0,5,2": "5/2",
+        "0,4,3": "5/2", "4,0,1": "-7/8", "3,1,1": "-7/2", "2,2,1": "-21/4",
+        "1,3,1": "-7/2", "0,4,1": "-7/8",
+    },
+}
+
+
+@pytest.mark.parametrize("entries", list(PINNED_GENUS_TWO), ids=str)
+def test_genus_two_fits_match_recorded_polynomials(entries):
+    # the oracle spot checks at r = 2g - 2 + n would dominate; held-out
+    # validation and the degree window still prove the fit
+    fit = fit_chamber(_witness(*entries), 2, spot_checks=0)
+    recorded = poly_from_json({"n": len(entries), "terms": PINNED_GENUS_TWO[entries]})
+    assert fit.polynomial == recorded
 
 
 # -- wall crossings -----------------------------------------------------------------

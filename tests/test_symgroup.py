@@ -7,15 +7,8 @@ import random
 
 import pytest
 
-from hurwitzlab.symgroup import (
-    Partition,
-    Permutation,
-    character_column,
-    cycle_type,
-    is_transitive,
-    partitions_of,
-    z_lambda,
-)
+from hurwitzlab.symgroup import Partition, character_column, partitions_of, z_lambda
+from reference import Permutation, cycle_type, is_transitive
 
 
 def _hook_dimension(parts: tuple[int, ...]) -> int:
