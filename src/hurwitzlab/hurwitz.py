@@ -2,7 +2,9 @@
 
 ``oracle_count`` enumerates tuples of transposition factors closing up a fixed
 monodromy representative and filters for connectedness; it is slow but its
-correctness is elementary, so it serves as the ground truth.
+correctness is elementary, so it serves as the ground truth.  It enumerates
+all factors but the last, which it counts in closed form from the cycle
+lengths of the running product and the orbits of the group generated so far.
 ``frobenius_connected`` evaluates Frobenius's formula in content form, an
 integer sum over the partitions lambda of d where both character columns are
 nonzero, for the disconnected count of factorizations.  It extracts the
@@ -198,23 +200,39 @@ def _count_tuples(
     beta_parts: tuple[int, ...],
     d: int,
 ) -> tuple[int, int]:
-    """Depth-first count of accepted transposition r-tuples.
+    """Count accepted transposition r-tuples.
 
-    Returns (leaves examined, tuples accepted).  The search keeps the running
-    product sigma0 * tau_1 * ... * tau_j and its cycle count incrementally and
-    prunes a branch as soon as the remaining factors cannot reach the
-    target cycle count (each factor changes the count by exactly +-1, so both
-    the distance and its parity must fit).
+    Returns (leaves examined, tuples accepted).  The first r-1 factors are
+    enumerated depth first.  The search keeps the running product
+    pi = sigma0 * tau_1 * ... * tau_j and its cycle count incrementally and
+    prunes a branch as soon as the remaining factors cannot reach the target
+    cycle count (each factor changes the count by exactly +-1, so both the
+    distance and its parity must fit).
+
+    The last factor is counted in closed form from the cycle lengths of pi
+    and the orbits of the group generated so far; every pi-cycle lies in one
+    orbit.  If pi has one cycle fewer than beta, tau_r must split a cycle:
+    a cycle of length L splits into {k, L-k} under L transpositions, or L/2
+    when 2k = L, and the group must already be transitive.  If pi has one
+    cycle more, tau_r must merge two cycles of lengths L_i and L_j, which
+    L_i * L_j transpositions do, and the group ends transitive when it had
+    one orbit, or two with the cycles in different orbits.  Each
+    transposition reaching the target cycle count is an examined leaf:
+    sum C(L,2) of them for a split, C(d,2) - sum C(L,2) for a merge, the same
+    leaves a full enumeration of tau_r visits.
     """
     all_taus = [(a, b) for a in range(d) for b in range(a + 1, d)]
     target = len(beta_parts)
+    beta_count = [0] * (d + 1)
+    for part in beta_parts:
+        beta_count[part] += 1
     prod = list(sigma0)
     inv = [0] * d
     for i, v in enumerate(prod):
         inv[v] = i
 
-    # Connected components of the subgroup generated so far are tracked via
-    # the sigma0-cycle label of each point plus the factors chosen so far.
+    # Orbits of the subgroup generated so far are tracked via the sigma0-cycle
+    # label of each point plus the factors chosen so far.
     label = [0] * d
     ncycles0 = 0
     seen = [False] * d
@@ -245,8 +263,10 @@ def _count_tuples(
         prod[ia], prod[ib] = b, a
         inv[a], inv[b] = ib, ia
 
-    def leaf_type_matches() -> bool:
-        lengths = []
+    def cycles_of_prod() -> tuple[list[int], list[int]]:
+        """Lengths of the cycles of pi and one point on each."""
+        lengths: list[int] = []
+        points: list[int] = []
         done = [False] * d
         for start in range(d):
             if done[start]:
@@ -258,12 +278,11 @@ def _count_tuples(
                 length += 1
                 j = prod[j]
             lengths.append(length)
-        lengths.sort(reverse=True)
-        return tuple(lengths) == beta_parts
+            points.append(start)
+        return lengths, points
 
-    def leaf_transitive() -> bool:
-        if ncycles0 == 1:
-            return True
+    def orbits() -> tuple[list[int], int]:
+        """The orbit root of each sigma0-cycle label, and the number of orbits."""
         parent = list(range(ncycles0))
 
         def find(i: int) -> int:
@@ -278,15 +297,58 @@ def _count_tuples(
             if ra != rb:
                 parent[ra] = rb
                 components -= 1
-        return components == 1
+        return [find(i) for i in range(ncycles0)], components
+
+    def last_factor(cycles: int) -> tuple[int, int]:
+        """(examined, accepted) over tau_r for the current pi."""
+        split = cycles + 1 == target
+        lengths, points = cycles_of_prod()
+        same = sum(length * (length - 1) // 2 for length in lengths)
+        leaves = same if split else d * (d - 1) // 2 - same
+        # tau_r gives type beta iff the parts pi has beyond beta (extra) and
+        # the parts it lacks (missing) are {L} and {k, L-k} for a split, or
+        # {L_i, L_j} and {L_i + L_j} for a merge.
+        count = [0] * (d + 1)
+        for length in lengths:
+            count[length] += 1
+        extra: list[int] = []
+        missing: list[int] = []
+        for length in range(1, d + 1):
+            diff = count[length] - beta_count[length]
+            extra += [length] * diff
+            missing += [length] * -diff
+        shape = (1, 2) if split else (2, 1)
+        if (len(extra), len(missing)) != shape or sum(extra) != sum(missing):
+            return leaves, 0
+        root, components = orbits()
+        # a split keeps the orbits, so it needs one; a merge joins at most two
+        if components > len(extra):
+            return leaves, 0
+        if split:
+            whole = extra[0]
+            per_cycle = whole if missing[0] != missing[1] else whole // 2
+            return leaves, count[whole] * per_cycle
+        p, q = extra
+        if components == 1:
+            pairs = count[p] * count[q] if p != q else math.comb(count[p], 2)
+        else:
+            where = [root[label[j]] for j in points]
+            on_p = [o for o, length in zip(where, lengths) if length == p]
+            on_q = [o for o, length in zip(where, lengths) if length == q]
+            if p != q:
+                pairs = sum(x != y for x in on_p for y in on_q)
+            else:
+                pairs = sum(x != y for x, y in itertools.combinations(on_p, 2))
+        return leaves, pairs * p * q
 
     def recurse(depth: int, cycles: int) -> None:
         nonlocal examined, accepted
         remaining = r - depth
-        if remaining == 0:
-            examined += 1
-            if cycles == target and leaf_type_matches() and leaf_transitive():
-                accepted += 1
+        if remaining == 1:
+            if abs(cycles - target) == 1:
+                leaves, hits = last_factor(cycles)
+                examined += leaves
+                accepted += hits
             return
         for a, b in all_taus:
             delta = 1 if same_cycle(a, b) else -1
@@ -299,6 +361,9 @@ def _count_tuples(
                 chosen.pop()
                 apply_tau(a, b)
 
+    if r == 0:
+        # sigma0 alone: transitive only as one d-cycle
+        return 1, int(ncycles0 == 1 and beta_parts == (d,))
     recurse(0, ncycles0)
     return examined, accepted
 
@@ -310,10 +375,14 @@ def oracle_count(
 ) -> HurwitzResult:
     """Count genus-g covers by exhaustive monodromy enumeration.
 
-    One representative of the cycle type over 0 is fixed and all r-tuples of
-    transposition factors are enumerated; a tuple is accepted when the product
-    has the cycle type over infinity and the generated group is transitive.  The
-    class-size factor cancels into the labeled normalization, giving
+    One representative of the cycle type over 0 is fixed and the r-tuples of
+    transposition factors are counted: the first r-1 are enumerated, the last
+    is counted from the cycle structure of their product (see
+    ``_count_tuples``).  A tuple is accepted when the product has the cycle
+    type over infinity and the generated group is transitive.  The stats
+    report as examined every tuple a full enumeration would reach after
+    pruning, so they match one.  The class-size factor cancels into the
+    labeled normalization, giving
 
         H = prod_k m_k(beta)! * accepted / prod_k k^{m_k(alpha)}.
 

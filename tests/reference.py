@@ -2,9 +2,12 @@
 
 The package recovers chamber polynomials by Newton differences on a lattice
 that always determines them; the dense Gauss-Jordan solver below is the
-independent route the tests compare it against.  The permutation helpers,
-the determinant and the polynomial constructors serve tests that check the
-package's conventions from first principles.
+independent route the tests compare it against.  The package's oracle counts
+its last transposition factor in closed form; ``oracle_tuples`` below
+enumerates every factor, the last one included, and is the route the tests
+compare it against.  The permutation helpers, the determinant and the
+polynomial constructors serve tests that check the package's conventions from
+first principles.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from hurwitzlab.chambers import ChamberSignature, Wall, walls
 from hurwitzlab.exact import Exponents, MultiPoly, compositions, monomials_up_to_degree
+from hurwitzlab.hurwitz import RamificationProfile, simple_branch_count
 from hurwitzlab.symgroup import Partition
 
 
@@ -214,3 +218,118 @@ def is_transitive(d: int, gens: Iterable[Permutation]) -> bool:
                 parent[a] = b
                 components -= 1
     return components == 1
+
+
+def oracle_tuples(profile: RamificationProfile, g: int) -> tuple[int, int]:
+    """(leaves examined, tuples accepted) of the oracle's search, by a
+    depth-first enumeration of all r transposition factors.
+
+    sigma0 is the representative of alpha with its cycles laid out
+    consecutively.  The search keeps the running product sigma0 * tau_1 * ...
+    * tau_j and its cycle count incrementally and prunes a branch as soon as
+    the remaining factors cannot reach the number of parts of beta (each
+    factor changes the count by exactly +-1, so both the distance and its
+    parity must fit).  Every leaf is checked for the cycle type beta and for
+    transitivity of the group generated by sigma0 and the factors.
+    """
+    r = simple_branch_count(g, profile.n)
+    d = profile.degree
+    beta_parts = profile.beta().parts
+    sigma0 = list(range(d))
+    start = 0
+    for part in profile.alpha().parts:
+        for offset in range(part):
+            sigma0[start + offset] = start + (offset + 1) % part
+        start += part
+
+    all_taus = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    target = len(beta_parts)
+    prod = list(sigma0)
+    inv = [0] * d
+    for i, v in enumerate(prod):
+        inv[v] = i
+
+    label = [0] * d
+    ncycles0 = 0
+    seen = [False] * d
+    for start in range(d):
+        if seen[start]:
+            continue
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            label[j] = ncycles0
+            j = sigma0[j]
+        ncycles0 += 1
+
+    chosen: list[tuple[int, int]] = []
+    examined = 0
+    accepted = 0
+
+    def same_cycle(a: int, b: int) -> bool:
+        j = prod[a]
+        while j != a:
+            if j == b:
+                return True
+            j = prod[j]
+        return False
+
+    def apply_tau(a: int, b: int) -> None:
+        ia, ib = inv[a], inv[b]
+        prod[ia], prod[ib] = b, a
+        inv[a], inv[b] = ib, ia
+
+    def leaf_type_matches() -> bool:
+        lengths = []
+        done = [False] * d
+        for start in range(d):
+            if done[start]:
+                continue
+            length = 0
+            j = start
+            while not done[j]:
+                done[j] = True
+                length += 1
+                j = prod[j]
+            lengths.append(length)
+        lengths.sort(reverse=True)
+        return tuple(lengths) == beta_parts
+
+    def leaf_transitive() -> bool:
+        parent = list(range(ncycles0))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        components = ncycles0
+        for a, b in chosen:
+            ra, rb = find(label[a]), find(label[b])
+            if ra != rb:
+                parent[ra] = rb
+                components -= 1
+        return components == 1
+
+    def recurse(depth: int, cycles: int) -> None:
+        nonlocal examined, accepted
+        remaining = r - depth
+        if remaining == 0:
+            examined += 1
+            if cycles == target and leaf_type_matches() and leaf_transitive():
+                accepted += 1
+            return
+        for a, b in all_taus:
+            delta = 1 if same_cycle(a, b) else -1
+            new_cycles = cycles + delta
+            gap = abs(new_cycles - target)
+            if gap <= remaining - 1 and (gap + remaining - 1) % 2 == 0:
+                apply_tau(a, b)
+                chosen.append((a, b))
+                recurse(depth + 1, new_cycles)
+                chosen.pop()
+                apply_tau(a, b)
+
+    recurse(0, ncycles0)
+    return examined, accepted

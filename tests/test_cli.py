@@ -44,6 +44,7 @@ def test_compute_example_both_methods(tmp_path):
     assert payload["value"] == "294"
     assert payload["r"] == 3
     assert payload["method"] == "both"
+    assert payload["stats"]["oracle"]["tuples_examined"] == 14749
     assert payload["stats"]["oracle"]["tuples_accepted"] == 1029
 
 

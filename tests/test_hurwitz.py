@@ -22,6 +22,7 @@ from hurwitzlab.hurwitz import (
     simple_branch_count,
 )
 from hurwitzlab.symgroup import Partition, partitions_of
+from reference import oracle_tuples
 
 
 def _profile(*entries: int) -> RamificationProfile:
@@ -110,6 +111,49 @@ def test_oracle_determinism_across_runs():
     assert base.value == again.value
     assert base.stats.tuples_examined == again.stats.tuples_examined
     assert base.stats.tuples_accepted == again.stats.tuples_accepted
+
+
+def _leaves(result) -> tuple[int, int]:
+    return result.stats.tuples_examined, result.stats.tuples_accepted
+
+
+def test_oracle_matches_full_enumeration():
+    # the enumeration depends on (alpha, beta, g) only, so it runs once per key
+    enumerated: dict = {}
+    rs = set()
+    for n in (2, 3, 4):
+        for profile in enumerate_profiles(n, 5):
+            for g in (0, 1):
+                key = (profile.alpha(), profile.beta(), g)
+                if key not in enumerated:
+                    enumerated[key] = oracle_tuples(profile, g)
+                result = oracle_count(profile, g)
+                assert _leaves(result) == enumerated[key], f"{profile} g={g}"
+                rs.add(result.r)
+    assert {0, 1} <= rs
+
+
+def test_oracle_last_factor_makes_the_group_transitive():
+    # sigma0 is the identity on two points: only tau_1 joins its two orbits
+    profile = _profile(1, 1, -2)
+    assert _leaves(oracle_count(profile, 0)) == oracle_tuples(profile, 0) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "entries, g, leaves",
+    [
+        ((7, 1, -2, -3, -3), 0, (14749, 1029)),
+        ((9, 4, -5, -5, -3), 0, (302978, 9720)),
+        ((5, 1, -2, -2, -2), 1, (475000, 31250)),
+    ],
+    ids=["294", "540", "g1"],
+)
+def test_oracle_recorded_leaf_counts(entries, g, leaves):
+    assert _leaves(oracle_count(_profile(*entries), g)) == leaves
+
+
+def test_oracle_enumeration_on_first_example():
+    assert oracle_tuples(_profile(7, 1, -2, -3, -3), 0) == (14749, 1029)
 
 
 # -- disconnected character counts ------------------------------------------------
