@@ -222,10 +222,13 @@ def chamber_nodes(
     are taken in degree order from the boxes [-1, 1]^n, [-2, 2]^n, ...  The open
     chamber plus its closure stays in the open chamber, so every
     b + sum a_i v_i with a_i >= 0 lies in it, and the nodes with
-    sum a_i <= degree determine a polynomial of that degree.  Each node is
-    re-checked all the same.  The held-out points are the first `held_out`
-    points of the layers beyond the nodes, cheapest (lowest cover degree)
-    first.  Every candidate check counts toward the budget.
+    sum a_i <= degree determine a polynomial of that degree.  The nodes lie
+    in the convex hull of b and the corners b + degree * v_i, and the open
+    chamber is convex (each coordinate's sign is a wall sign too), so the
+    corners are checked rather than every node; b passed the slide.  The
+    held-out points are the first `held_out` points of the layers beyond the
+    nodes, cheapest (lowest cover degree) first, each checked.  Every
+    candidate check counts toward the budget.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -282,8 +285,11 @@ def chamber_nodes(
             raise AssertionError(f"lattice point {x} left the chamber of {witness.point}")
         return RamificationProfile(x)
 
+    if degree:
+        for step in steps:
+            checked(tuple(b + degree * v for b, v in zip(base, step)))
     nodes = tuple(
-        (a, checked(lattice_point(base, steps, a)))
+        (a, RamificationProfile(lattice_point(base, steps, a)))
         for a in monomials_up_to_degree(n - 1, degree)
     )
     extra: list[RamificationProfile] = []

@@ -11,19 +11,16 @@ term maps are equal, which makes polynomial identity testing exact.
 Monomials are ordered graded-lexicographically with x_1 > x_2 > ... for
 printing, so output is deterministic.  ``newton_interpolate`` recovers a
 polynomial from its values on an affine principal lattice by forward
-differences, with no linear system to solve.
+differences in integers, with no linear system and one division per term.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NonZeroSumError
-
-# Exact rational scalar used everywhere.  The stdlib type already guarantees
-# lowest-terms storage with a positive denominator and exact arithmetic.
-ExactRational = Fraction
 
 Exponents = tuple[int, ...]
 
@@ -38,9 +35,6 @@ def compositions(total: int, parts: int) -> Iterator[Exponents]:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
     for head in range(total + 1):
         for rest in compositions(total - head, parts - 1):
             yield (head,) + rest
@@ -52,11 +46,8 @@ def monomials_up_to_degree(num_vars: int, degree: int) -> list[Exponents]:
     Read as lattice coordinates a (a_i >= 0, sum a_i <= degree), this is also
     the simplex lattice of ``newton_interpolate`` in its lattice order.
     """
-    out: list[Exponents] = []
-    for total in range(degree + 1):
-        out.extend(compositions(total, num_vars))
-    out.sort(key=_grlex_key)
-    return out
+    # compositions come out lexicographically ascending
+    return [a for total in range(degree + 1) for a in compositions(total, num_vars)]
 
 
 class MultiPoly:
@@ -298,25 +289,25 @@ def lattice_point(
     )
 
 
-def _inverse(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    """The exact inverse of a small square matrix, or None if it is singular."""
+def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det, adj) of a small square integer matrix by fraction-free
+    Gauss-Jordan elimination; det is 0 if the matrix is singular."""
     size = len(matrix)
-    rows = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-        for i, row in enumerate(matrix)
-    ]
+    rows = [[*row] + [int(i == j) for j in range(size)] for i, row in enumerate(matrix)]
+    sign, lead = 1, 1
     for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
-            return None
+            return 0, []
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [v / lead for v in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [row[size:] for row in rows]
+        sign *= -1 if pivot != col else 1
+        prev, lead, here = lead, rows[col][col], rows[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                # exact: every entry is a minor of the augmented matrix
+                rows[r] = [(lead * a - row[col] * b) // prev for a, b in zip(row, here)]
+    # the rows now read [lead I | lead V^-1], and lead = sign * det
+    return sign * lead, [[sign * v for v in row[size:]] for row in rows]
 
 
 def newton_interpolate(
@@ -325,17 +316,19 @@ def newton_interpolate(
     values: Mapping[Exponents, Fraction | int],
     degree: int,
 ) -> MultiPoly:
-    """The unique polynomial of total degree <= degree taking the value
+    """The unique polynomial of total degree <= D = degree taking the value
     values[a] at lattice_point(base, steps, a), for every a in the simplex
-    lattice a_i >= 0, sum a_i <= degree.
+    lattice a_i >= 0, sum a_i <= D.
 
     base is a zero-sum point of length n and steps are n - 1 linearly
     independent zero-sum vectors.  Such a lattice is unisolvent for the
-    degree (Chung-Yao), so nothing is solved: the forward differences
-    c_k = Delta^k f(0) are taken one axis at a time, and the Newton form
-    sum_k c_k prod_i C(a_i, k_i) is expanded by Horner's rule after the
-    substitution a = V^-1 (x - base), V the matrix of the steps' free
-    coordinates.
+    degree (Chung-Yao), so nothing is solved.  The values times the lcm den
+    of their denominators give integer forward differences c_k, one axis at
+    a time.  With V the matrix of the steps' free coordinates, det V * a_i is
+    l_i = (adj V (x - base))_i, so den D! det^D times the Newton form
+    sum_k c_k prod_i C(a_i, k_i) / den is the integer polynomial
+    sum_k c_k D!/prod_i k_i! det^(D-|k|) prod_i prod_{j<k_i} (l_i - j det).
+    It is expanded by Horner's rule per axis; each coefficient is divided once.
     """
     n = len(base)
     m = n - 1
@@ -352,44 +345,51 @@ def newton_interpolate(
             )
         if sum(vector) != 0:
             raise NonZeroSumError(f"{tuple(vector)} does not sum to zero")
-    inverse = _inverse([[step[j] for step in steps] for j in range(m)])
-    if inverse is None:
+    det, adj = _adjugate([[step[j] for step in steps] for j in range(m)])
+    if not det:
         raise ValueError("the steps are linearly dependent")
     lattice = monomials_up_to_degree(m, degree)
     missing = [a for a in lattice if a not in values]
     if missing:
         raise ValueError(f"no value at {len(missing)} lattice points, e.g. {missing[0]}")
 
-    table = {a: Fraction(values[a]) for a in lattice}
-    for axis in range(m):
+    # a lattice point or an exponent vector e is keyed by sum_i e_i radix^i
+    radix = degree + 1
+    shift = [radix**i for i in range(m)]
+    keys = [sum(k * s for k, s in zip(a, shift)) for a in lattice]
+    den = math.lcm(*(Fraction(values[a]).denominator for a in lattice))
+    table = {k: int(Fraction(values[a]) * den) for a, k in zip(lattice, keys)}
+    for axis, unit in enumerate(shift):
         # descending along the axis, so each subtraction reads the lower
         # difference order of its neighbour
-        along = sorted(lattice, key=lambda a: -a[axis])
+        along = sorted(zip((a[axis] for a in lattice), keys), reverse=True)
         for order in range(1, degree + 1):
-            for a in along:
-                if a[axis] < order:
+            for height, k in along:
+                if height < order:
                     break
-                table[a] -= table[a[:axis] + (a[axis] - 1,) + a[axis + 1 :]]
+                table[k] -= table[k - unit]
 
-    # a_i as a linear polynomial in x_1..x_{n-1}
-    coords = []
-    for row in inverse:
-        terms = {(0,) * j + (1,) + (0,) * (m - 1 - j): w for j, w in enumerate(row)}
-        terms[(0,) * m] = -sum(w * b for w, b in zip(row, base))
-        coords.append(MultiPoly(n, terms))
-    # (a_i - k) / (k + 1), the ratio C(a_i, k + 1) / C(a_i, k)
-    ratios = [
-        [(a_i - MultiPoly.constant(n, k)) * Fraction(1, k + 1) for k in range(degree)]
-        for a_i in coords
-    ]
+    offset = [-sum(w * b for w, b in zip(row, base)) for row in adj]
+    forms = [[(s, w) for s, w in zip(shift, row) if w] for row in adj]
+    fac = [math.factorial(k) for k in range(degree + 1)]
 
-    def expand(axis: int, prefix: Exponents) -> MultiPoly:
+    def expand(axis: int, at: int, top: int, weight: int) -> dict[int, int]:
+        # at is the key of k_1..k_axis, top = D - their sum, weight = prod k_i!
         if axis == m:
-            return MultiPoly.constant(n, table[prefix])
-        top = degree - sum(prefix)
-        acc = expand(axis + 1, prefix + (top,))
+            return {0: table[at] * (fac[degree] // weight) * det**top}
+        acc = expand(axis + 1, at + top * shift[axis], 0, weight * fac[top])
         for k in range(top - 1, -1, -1):
-            acc = expand(axis + 1, prefix + (k,)) + acc * ratios[axis][k]
+            # acc * (l_axis - k det) + the next lower term
+            step = offset[axis] - k * det
+            product = expand(axis + 1, at + k * shift[axis], top - k, weight * fac[k])
+            for e, c in acc.items():
+                product[e] = product.get(e, 0) + c * step
+                for s, w in forms[axis]:
+                    product[e + s] = product.get(e + s, 0) + c * w
+            acc = product
         return acc
 
-    return expand(0, ())
+    scale = den * fac[degree] * det**degree
+    terms = expand(0, 0, degree, 1)
+    exps = {e: tuple(e // s % radix for s in shift) for e in terms}
+    return MultiPoly(n, {exps[e]: Fraction(c, scale) for e, c in terms.items()})

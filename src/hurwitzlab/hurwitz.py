@@ -368,6 +368,12 @@ def _count_tuples(
     return examined, accepted
 
 
+def enumeration_size(d: int, r: int) -> int:
+    """C(d,2)^r, the count of r-tuples of transpositions in S_d: the size
+    ``oracle_count`` checks against its budget."""
+    return math.comb(d, 2) ** r
+
+
 def oracle_count(
     profile: RamificationProfile,
     g: int,
@@ -390,10 +396,10 @@ def oracle_count(
     """
     r = simple_branch_count(g, profile.n)
     d = profile.degree
-    num_taus = d * (d - 1) // 2
-    if num_taus**r > budget:
+    size = enumeration_size(d, r)
+    if size > budget:
         raise BudgetExceededError(
-            f"enumeration size C({d},2)^{r} = {num_taus**r} exceeds budget {budget}"
+            f"enumeration size C({d},2)^{r} = {size} exceeds budget {budget}"
         )
     alpha, beta = profile.alpha(), profile.beta()
     sigma0 = _representative(alpha, d)

@@ -27,6 +27,7 @@ from .errors import (
 from .exact import MultiPoly, newton_interpolate
 from .hurwitz import (
     RamificationProfile,
+    enumeration_size,
     frobenius_connected,
     oracle_count,
     simple_branch_count,
@@ -42,6 +43,8 @@ class ChamberPolynomial:
     polynomial: MultiPoly
     degree_bound: int
     validation: tuple[tuple[RamificationProfile, Fraction], ...]
+    # oracle spot checks left out, each with its enumeration size C(d,2)^r
+    skipped_checks: tuple[tuple[RamificationProfile, int], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,8 +98,10 @@ def fit_chamber(
     recovers it by Newton differences, and proves the fit on `oversample`
     held-out lattice points.  The `spot_checks` cheapest evaluated points
     (lowest cover degree, then lattice order, so the base point first) are
-    cross-checked against the enumeration oracle, and every term degree must
-    lie in the window [2g-3+n, 4g-3+n] with the parity of 4g-3+n.
+    cross-checked against the enumeration oracle; a check whose enumeration
+    size C(d,2)^r exceeds `oracle_budget` is skipped and recorded with that
+    size in ``skipped_checks``.  Every term degree must lie in the window
+    [2g-3+n, 4g-3+n] with the parity of 4g-3+n.
 
     For n = 2, g = 0 the count is 1/d, which is not polynomial, and the fit
     refuses with UnstableCaseError.
@@ -109,7 +114,7 @@ def fit_chamber(
     if oversample < 1:
         raise ValueError("oversample must be positive")
     degree_bound = 4 * g - 3 + n
-    simple_branch_count(g, n)  # raises for impossible (g, n)
+    r = simple_branch_count(g, n)  # raises for impossible (g, n)
     evaluate = evaluator or _default_evaluator
 
     design = chamber_nodes(witness, degree_bound, oversample, sampling_budget)
@@ -119,8 +124,13 @@ def fit_chamber(
 
     evaluated = [(p, values[a]) for a, p in design.nodes] + held_out
     cheapest = sorted(range(len(evaluated)), key=lambda i: (evaluated[i][0].degree, i))
+    skipped = []
     for i in cheapest[: max(spot_checks, 0)]:
         point, value = evaluated[i]
+        size = enumeration_size(point.degree, r)
+        if size > oracle_budget:
+            skipped.append((point, size))
+            continue
         checked = oracle_count(point, g, budget=oracle_budget).value
         if checked != value:
             raise AssertionError(
@@ -148,6 +158,7 @@ def fit_chamber(
         polynomial=poly,
         degree_bound=degree_bound,
         validation=tuple(held_out),
+        skipped_checks=tuple(skipped),
     )
 
 

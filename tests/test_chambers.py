@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from hurwitzlab import chambers
 from hurwitzlab.chambers import (
     ChamberWitness,
     Wall,
@@ -116,21 +117,53 @@ def test_sample_includes_scalings_for_two_parts():
     assert [p.x for p in design.held_out] == [(4, -4), (5, -5), (6, -6)]
 
 
+def _small_chambers(n: int) -> list[ChamberWitness]:
+    """One witness for every chamber met by a point whose free coordinates
+    lie in [-4, 4]; that is every chamber for n <= 5."""
+    chambers = {}
+    for free in itertools.product(range(-4, 5), repeat=n - 1):
+        point = free + (-sum(free),)
+        if 0 in point:
+            continue
+        try:
+            witness = ChamberWitness.at(RamificationProfile(point))
+        except OnWallError:
+            continue
+        chambers.setdefault(witness.signature, witness)
+    return list(chambers.values())
+
+
 def test_sample_points_share_the_signature():
-    witness = ChamberWitness.at(EXAMPLE_C1)
-    design = chamber_nodes(witness, 3, 5)
-    points = [p for _, p in design.nodes] + list(design.held_out)
-    assert len(design.nodes) == math.comb(3 + 4, 4)
-    assert len(design.held_out) == 5
-    assert len({p.x for p in points}) == len(points)
-    assert design.base.degree <= EXAMPLE_C1.degree
-    for p in points:
-        assert signature(p) == witness.signature
-    for a, p in design.nodes:
-        assert p.x == tuple(
-            b + sum(k * step[j] for k, step in zip(a, design.steps))
-            for j, b in enumerate(design.base.x)
-        )
+    # the documented chamber, then every chamber at n <= 4; only the corners
+    # of the node simplex are checked inside chamber_nodes
+    witnesses = [ChamberWitness.at(EXAMPLE_C1)]
+    witnesses += [w for n in (2, 3, 4) for w in _small_chambers(n)]
+    assert len(witnesses) == 1 + 2 + 6 + 32
+    for witness in witnesses:
+        n = witness.point.n
+        design = chamber_nodes(witness, 3, 5)
+        points = [p for _, p in design.nodes] + list(design.held_out)
+        assert len(design.nodes) == math.comb(3 + n - 1, n - 1)
+        assert len(design.held_out) == 5
+        assert len({p.x for p in points}) == len(points)
+        assert design.base.degree <= witness.point.degree
+        for p in points:
+            assert signature(p) == witness.signature
+        for a, p in design.nodes:
+            assert p.x == tuple(
+                b + sum(k * step[j] for k, step in zip(a, design.steps))
+                for j, b in enumerate(design.base.x)
+            )
+
+
+@pytest.mark.parametrize("entries", [EXAMPLE_C1.x, EXAMPLE_C2.x, (3, 1, -2, -2)])
+def test_corner_check_catches_an_escaped_lattice(monkeypatch, entries):
+    # with every step accepted, the first independent unit steps leave the
+    # chamber; the corner check must refuse the lattice
+    monkeypatch.setattr(chambers, "_in_closed_cone", lambda vector, n, target: True)
+    witness = ChamberWitness.at(RamificationProfile(entries))
+    with pytest.raises(AssertionError, match="left the chamber"):
+        chamber_nodes(witness, 3, 0)
 
 
 def test_sample_is_deterministic_and_prefix_stable():
@@ -190,22 +223,13 @@ def test_every_small_chamber_gets_a_full_step_basis():
     # 76 of the 146 five-part ones need a step from the [-2, 2] box
     wide_steps = 0
     for n in (2, 3, 4, 5):
-        chambers = {}
-        for free in itertools.product(range(-4, 5), repeat=n - 1):
-            point = free + (-sum(free),)
-            if 0 in point:
-                continue
-            try:
-                witness = ChamberWitness.at(RamificationProfile(point))
-            except OnWallError:
-                continue
-            chambers.setdefault(witness.signature, witness)
-        for witness in chambers.values():
+        witnesses = _small_chambers(n)
+        for witness in witnesses:
             design = chamber_nodes(witness, 0, 0)
             assert len(design.steps) == n - 1
             assert determinant(_step_matrix(design.steps)) != 0
             wide_steps += any(max(map(abs, step)) > 1 for step in design.steps)
-        assert len(chambers) == {2: 2, 3: 6, 4: 32, 5: 146}[n]
+        assert len(witnesses) == {2: 2, 3: 6, 4: 32, 5: 146}[n]
     assert wide_steps == 76
 
 

@@ -194,6 +194,25 @@ def test_fit_genus_one_cubic():
     assert payload["degree_bound"] == 3
 
 
+def test_fit_skips_an_unaffordable_spot_check():
+    # both spot checks, at (1,1,1,1,1,1,-6) and at a degree-7 node, would
+    # enumerate more than C(6,2)^7 = 170859375 tuples
+    proc = _run("fit", "-g", "1", "-x", "32,16,8,4,2,1,-63", "--json")
+    assert proc.returncode == 0
+    notices = proc.stderr.strip().splitlines()
+    assert notices == [
+        "skipped the oracle spot check at (1,1,1,1,1,1,-6): enumeration size "
+        "170859375 exceeds the oracle budget",
+        "skipped the oracle spot check at (2,1,1,1,1,1,-7): enumeration size "
+        "1801088541 exceeds the oracle budget",
+    ]
+    payload = _stdout_json(proc)
+    assert set(payload) == {
+        "witness", "signature", "g", "degree_bound", "polynomial", "display", "validation"
+    }
+    assert payload["polynomial"]["terms"]["8,0,0,0,0,0"] == "210"
+
+
 @pytest.mark.parametrize(
     "extra", [("compute", "--no-cache"), ("fit",)], ids=["compute", "fit"]
 )

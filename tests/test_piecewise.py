@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
+
+from hurwitzlab import piecewise
 
 from hurwitzlab.chambers import ChamberWitness, Wall, adjacent_chamber, chamber_nodes
 from hurwitzlab.errors import (
@@ -158,6 +162,75 @@ def test_genus_two_fits_match_recorded_polynomials(entries):
     fit = fit_chamber(_witness(*entries), 2, spot_checks=0)
     recorded = poly_from_json({"n": len(entries), "terms": PINNED_GENUS_TWO[entries]})
     assert fit.polynomial == recorded
+
+
+# g=1 on the chamber of (16,8,4,2,1,-31): degree 7 on 792 nodes, recorded
+# once from the Horner expansion in Fraction arithmetic that preceded the
+# integer one.  The polynomial is symmetric in x1..x5, so it is recorded as
+# the coefficient of each monomial symmetric function, keyed by its
+# exponents in descending order.
+PINNED_SIX_PART = {
+    (7,): 30, (6, 1): 150, (5, 2): 330, (5, 1, 1): 600, (4, 3): 450,
+    (4, 2, 1): 1050, (4, 1, 1, 1): 1800, (3, 3, 1): 1200, (3, 2, 2): 1500,
+    (3, 2, 1, 1): 2400, (3, 1, 1, 1, 1): 3600, (2, 2, 2, 1): 2700,
+    (2, 2, 1, 1, 1): 3600, (5,): -30, (4, 1): -150, (3, 2): -300,
+    (3, 1, 1): -600, (2, 2, 1): -900, (2, 1, 1, 1): -1800,
+    (1, 1, 1, 1, 1): -3600,
+}
+
+
+def test_six_part_fit_matches_recorded_polynomial():
+    terms = {
+        exps: coeff
+        for shape, coeff in PINNED_SIX_PART.items()
+        for exps in itertools.permutations(shape + (0,) * (5 - len(shape)))
+    }
+    assert len(terms) == 456
+    fit = fit_chamber(_witness(16, 8, 4, 2, 1, -31), 1, spot_checks=0)
+    assert fit.polynomial == MultiPoly(6, terms)
+
+
+# -- oracle spot checks -------------------------------------------------------------
+
+
+def test_fit_skips_a_spot_check_over_the_oracle_budget(monkeypatch):
+    ran = []
+
+    def counting_oracle(profile, g, budget):
+        ran.append(profile)
+        return oracle_count(profile, g, budget)
+
+    monkeypatch.setattr(piecewise, "oracle_count", counting_oracle)
+    witness = _witness(7, 1, -2, -3, -3)
+    # r = 3: the base (5,1,-2,-2,-2) has degree 6 and C(6,2)^3 = 3375
+    # tuples, the next node degree 7 and C(7,2)^3 = 9261
+    fit = fit_chamber(witness, 0, oracle_budget=1000)
+    assert fit.polynomial == MultiPoly(5, {(2, 0, 0, 0): 6})
+    assert ran == []
+    assert [(p.x, size) for p, size in fit.skipped_checks] == [
+        ((5, 1, -2, -2, -2), 3375),
+        ((6, 1, -2, -2, -3), 9261),
+    ]
+    assert "skipped" not in json.dumps(fit.to_json_dict())
+
+    fit = fit_chamber(witness, 0, oracle_budget=5000)
+    assert [p.x for p in ran] == [(5, 1, -2, -2, -2)]
+    assert [size for _, size in fit.skipped_checks] == [9261]
+
+
+# the witnesses of the benchmark's fit workload
+BENCHMARK_FITS = [
+    ((7, 1, -2, -3, -3), 0),
+    ((3, 1, -2, -2), 1),
+    ((-1, -1, -1, 3), 1),
+    ((3, -1, -2), 2),
+    ((2, -1, -1), 2),
+]
+
+
+@pytest.mark.parametrize("entries, g", BENCHMARK_FITS, ids=str)
+def test_default_oracle_budget_runs_both_spot_checks(entries, g):
+    assert fit_chamber(_witness(*entries), g).skipped_checks == ()
 
 
 # -- wall crossings -----------------------------------------------------------------
