@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
+from typing import Iterator
 
 from .errors import (
     AdjacencyNotFoundError,
@@ -116,14 +118,16 @@ class ChamberSignature:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
+def _wall_sums(x: tuple[int, ...], n: int) -> Iterator[int]:
+    """The canonical subset sums of x, lazily, in the order of walls(n)."""
+    return (wall.subset_sum(x) for wall in walls(n))
+
+
 def _signs_of(x: tuple[int, ...], n: int) -> tuple[int, ...]:
-    signs = []
-    for wall in walls(n):
-        s = wall.subset_sum(x)
-        if s == 0:
-            raise OnWallError(wall)
-        signs.append(1 if s > 0 else -1)
-    return tuple(signs)
+    signs = tuple((s > 0) - (s < 0) for s in _wall_sums(x, n))
+    if 0 in signs:
+        raise OnWallError(walls(n)[signs.index(0)])
+    return signs
 
 
 def signature(profile: RamificationProfile) -> ChamberSignature:
@@ -152,15 +156,9 @@ class ChamberWitness:
 
 
 def _is_valid_sample(candidate: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
-    if any(v == 0 for v in candidate):
-        return False
-    if not any(v > 0 for v in candidate):
-        return False
-    for wall, want in zip(walls(n), target):
-        s = wall.subset_sum(candidate)
-        if s == 0 or (1 if s > 0 else -1) != want:
-            return False
-    return True
+    """Every wall sum of the zero-sum candidate has the chamber's sign.  The
+    walls {i} and {2..n} make this fix the sign of every coordinate too."""
+    return all(want * s > 0 for want, s in zip(target, _wall_sums(candidate, n)))
 
 
 def _box_vectors(n: int, radius: int) -> list[tuple[int, ...]]:
@@ -178,11 +176,7 @@ def _box_vectors(n: int, radius: int) -> list[tuple[int, ...]]:
 
 def _in_closed_cone(vector: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
     """Every wall sum of vector is 0 or has the chamber's sign."""
-    for wall, want in zip(walls(n), target):
-        s = wall.subset_sum(vector)
-        if s != 0 and (1 if s > 0 else -1) != want:
-            return False
-    return True
+    return all(want * s >= 0 for want, s in zip(target, _wall_sums(vector, n)))
 
 
 def _reduce(vector: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> list[int]:
@@ -216,19 +210,18 @@ def chamber_nodes(
 ) -> ChamberNodes:
     """The nodes for a fit of the given degree in the witness's chamber.
 
-    The witness slides down its chamber by unit steps that lower its degree
-    to a base point b; n - 1 linearly independent closed-cone steps v_i
-    (zero-sum vectors whose every wall sum is 0 or has the chamber's sign)
-    are taken in degree order from the boxes [-1, 1]^n, [-2, 2]^n, ...  The open
-    chamber plus its closure stays in the open chamber, so every
-    b + sum a_i v_i with a_i >= 0 lies in it, and the nodes with
-    sum a_i <= degree determine a polynomial of that degree.  The nodes lie
-    in the convex hull of b and the corners b + degree * v_i, and the open
-    chamber is convex (each coordinate's sign is a wall sign too), so the
-    corners are checked rather than every node; b passed the slide.  The
-    held-out points are the first `held_out` points of the layers beyond the
-    nodes, cheapest (lowest cover degree) first, each checked.  Every
-    candidate check counts toward the budget.
+    The witness slides down its chamber to a base point b, moving along each
+    unit step with its signs as far as the chamber allows, at one check per
+    step, pass after pass until none moves it; n - 1 linearly independent
+    closed-cone steps v_i (zero-sum vectors whose every wall sum is 0 or has
+    the chamber's sign) are taken in degree order from the boxes [-1, 1]^n,
+    [-2, 2]^n, ...  The open chamber plus its closure stays in the open
+    chamber, so every b + sum a_i v_i with a_i >= 0 lies in it, and the nodes
+    with sum a_i <= degree determine a polynomial of that degree.  The chamber
+    is convex and fixes each coordinate's sign, so only the corners
+    b + degree * v_i are checked, and the cover degree deg(b) + sum a_i deg(v_i)
+    picks the `held_out` cheapest later points (ties in lattice order), the
+    only ones built.  Every check counts toward the budget.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -238,14 +231,13 @@ def chamber_nodes(
     target = witness.signature.signs
     spent = 0
 
-    def check(test, vector: tuple[int, ...]) -> bool:
+    def spend() -> None:
         nonlocal spent
         spent += 1
         if spent > budget:
             raise SamplingBudgetExceededError(
                 f"node search exceeded {budget} candidate checks"
             )
-        return test(vector, n, target)
 
     base = witness.point.x
     # unit steps with the signs of the point: each one lowers the degree
@@ -258,11 +250,16 @@ def chamber_nodes(
     while moved:
         moved = False
         for v in downhill:
-            while True:
-                lower = tuple(a - b for a, b in zip(base, v))
-                if not check(_is_valid_sample, lower):
-                    break
-                base, moved = lower, True
+            spend()
+            # the largest t with want * (s - t * c) > 0 on every wall; v has a
+            # positive entry, whose wall {i} or {2..n} makes the min nonempty
+            t = min(
+                (want * s - 1) // (want * c)
+                for want, s, c in zip(target, _wall_sums(base, n), _wall_sums(v, n))
+                if want * c > 0
+            )
+            if t:
+                base, moved = tuple(b - t * c for b, c in zip(base, v)), True
 
     steps: list[tuple[int, ...]] = []
     echelon: list[tuple[int, list[int]]] = []
@@ -270,7 +267,8 @@ def chamber_nodes(
     while len(steps) < n - 1:
         radius += 1
         for v in _box_vectors(n, radius):
-            if not check(_in_closed_cone, v):
+            spend()
+            if not _in_closed_cone(v, n, target):
                 continue
             rest = _reduce(v, echelon)
             pivot = next((i for i, c in enumerate(rest) if c), None)
@@ -281,7 +279,8 @@ def chamber_nodes(
                     break
 
     def checked(x: tuple[int, ...]) -> RamificationProfile:
-        if not check(_is_valid_sample, x):
+        spend()
+        if not _is_valid_sample(x, n, target):
             raise AssertionError(f"lattice point {x} left the chamber of {witness.point}")
         return RamificationProfile(x)
 
@@ -292,13 +291,14 @@ def chamber_nodes(
         (a, RamificationProfile(lattice_point(base, steps, a)))
         for a in monomials_up_to_degree(n - 1, degree)
     )
+    costs = [sum(c for c in step if c > 0) for step in steps]
     extra: list[RamificationProfile] = []
     layer = degree
     while len(extra) < held_out:
         layer += 1
-        ring = [lattice_point(base, steps, a) for a in compositions(layer, n - 1)]
-        ring.sort(key=lambda x: sum(v for v in x if v > 0))
-        extra.extend(checked(x) for x in ring[: held_out - len(extra)])
+        ring = sorted(compositions(layer, n - 1), key=lambda a: sum(map(mul, a, costs)))
+        for a in ring[: held_out - len(extra)]:
+            extra.append(checked(lattice_point(base, steps, a)))
     return ChamberNodes(
         base=RamificationProfile(base),
         steps=tuple(steps),

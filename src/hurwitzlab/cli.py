@@ -54,6 +54,7 @@ _EXIT_CODES = {
     "ON_WALL": 2,
     "UNSTABLE_CASE": 2,
     "NEGATIVE_R": 2,
+    "INVALID_ARGUMENT": 2,
     "BUDGET_EXCEEDED": 3,
     "SAMPLING_BUDGET_EXCEEDED": 3,
     "NOT_POLYNOMIAL": 4,
@@ -216,16 +217,20 @@ def cmd_compute(args) -> int:
                 code="METHOD_MISMATCH",
             )
         value = first.value
-        stats = {
-            "oracle": first.stats.to_json_dict(),
-            "frobenius": second.stats.to_json_dict(),
+        payload = {
+            "value": str(value),
+            "g": g,
+            "r": r,
+            "method": "both",
+            "stats": {
+                "oracle": first.stats.to_json_dict(),
+                "frobenius": second.stats.to_json_dict(),
+            },
         }
-        method_used = "both"
     else:
         result = _compute_result(profile, g, args.method, args.budget)
         value = result.value
-        stats = result.stats.to_json_dict()
-        method_used = result.method
+        payload = result.to_json_dict()
 
     if cached is not None and cached != value:
         return _emit_error(
@@ -233,15 +238,7 @@ def cmd_compute(args) -> int:
             code="CACHE_MISMATCH",
         )
     if path and cached is None:
-        cache_append(path, key, str(value), method_used)
-
-    payload = {
-        "value": str(value),
-        "g": g,
-        "r": r,
-        "method": method_used,
-        "stats": stats,
-    }
+        cache_append(path, key, str(value), payload["method"])
     _emit(payload, args.json)
     return 0
 
@@ -344,7 +341,7 @@ def _check_identities(r_max: int) -> CheckResult:
     )
 
 
-def _check_grid(max_d: int) -> CheckResult:
+def _check_grid(max_d: int = 4) -> CheckResult:
     cases = 0
     for n in (2, 3, 4):
         for profile in enumerate_profiles(n, max_d):
@@ -371,14 +368,11 @@ _EXAMPLE_TARGETS = (
 )
 
 
-def _check_examples(mutate: bool) -> CheckResult:
+def _check_examples() -> CheckResult:
     for entries, g, expected in _EXAMPLE_TARGETS:
         profile = RamificationProfile(entries)
         by_oracle = oracle_count(profile, g).value
         by_characters = frobenius_connected(profile, g).value
-        if mutate:
-            # harness hook: simulate a broken labeled normalization
-            by_characters *= 2
         if by_oracle != expected or by_characters != expected:
             return CheckResult(
                 name="documented example values",
@@ -473,13 +467,11 @@ def _check_interpolation_roundtrip() -> CheckResult:
     )
 
 
-def run_selftest(
-    r_max: int = 30, grid_max_d: int = 4, mutate: bool = False
-) -> tuple[bool, list[CheckResult]]:
+def run_selftest(r_max: int = 30) -> tuple[bool, list[CheckResult]]:
     checks: list[Callable[[], CheckResult]] = [
         lambda: _check_identities(r_max),
-        lambda: _check_grid(grid_max_d),
-        lambda: _check_examples(mutate),
+        _check_grid,
+        _check_examples,
         _check_symmetry,
         _check_orthogonality,
         _check_interpolation_roundtrip,
@@ -493,9 +485,7 @@ def run_selftest(
 
 
 def cmd_selftest(args) -> int:
-    ok, results = run_selftest(
-        r_max=args.r_max, grid_max_d=args.grid_max_d, mutate=args.mutate_normalization
-    )
+    ok, results = run_selftest(r_max=args.r_max)
     payload = {
         "ok": ok,
         "checks": [
@@ -597,12 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(selftest, needs_profile=False)
     selftest.add_argument(
         "--r-max", type=int, default=30, help="identity check range"
-    )
-    selftest.add_argument(
-        "--grid-max-d", type=int, default=4, help=argparse.SUPPRESS
-    )
-    selftest.add_argument(
-        "--mutate-normalization", action="store_true", help=argparse.SUPPRESS
     )
     selftest.set_defaults(func=cmd_selftest)
 

@@ -237,10 +237,6 @@ def crossing_blocks(
     delta = total
     block_i = tuple(x.x[i - 1] for i in wall.indices) + (-delta,)
     block_c = tuple(x.x[l - 1] for l in wall.complement()) + (delta,)
-    if sum(block_i) != 0 or sum(block_c) != 0:
-        raise BlockUnbalancedError(
-            f"blocks {block_i} and {block_c} do not balance for {x} at {wall}"
-        )
     return RamificationProfile(block_i), RamificationProfile(block_c), delta
 
 

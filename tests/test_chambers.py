@@ -22,6 +22,7 @@ from hurwitzlab.errors import (
     OnWallError,
     SamplingBudgetExceededError,
 )
+from hurwitzlab.exact import compositions, lattice_point
 from hurwitzlab.hurwitz import RamificationProfile
 from reference import determinant, sign_at
 
@@ -156,6 +157,25 @@ def test_sample_points_share_the_signature():
             )
 
 
+def test_held_out_points_are_the_cheapest_of_their_layers():
+    # reference: build every lattice point of the layers beyond the nodes and
+    # stable-sort each layer by cover degree
+    for witness in _small_chambers(4):
+        for degree in (1, 2, 3):
+            design = chamber_nodes(witness, degree, 12)
+            expected = []
+            layer = degree
+            while len(expected) < 12:
+                layer += 1
+                ring = [
+                    lattice_point(design.base.x, design.steps, a)
+                    for a in compositions(layer, 3)
+                ]
+                ring.sort(key=lambda x: sum(v for v in x if v > 0))
+                expected += ring[: 12 - len(expected)]
+            assert [p.x for p in design.held_out] == expected
+
+
 @pytest.mark.parametrize("entries", [EXAMPLE_C1.x, EXAMPLE_C2.x, (3, 1, -2, -2)])
 def test_corner_check_catches_an_escaped_lattice(monkeypatch, entries):
     # with every step accepted, the first independent unit steps leave the
@@ -178,23 +198,28 @@ def test_sample_is_deterministic_and_prefix_stable():
 
 
 def test_base_slides_down_to_a_low_point():
-    witness = ChamberWitness.at(RamificationProfile(tuple(4 * v for v in EXAMPLE_C1.x)))
-    base = chamber_nodes(witness, 0, 0).base
-    assert signature(base) == witness.signature
-    assert base.degree < EXAMPLE_C1.degree
-    # no unit step with the base's signs leads further down inside the chamber
-    n = base.n
-    for free in itertools.product((-1, 0, 1), repeat=n - 1):
-        step = free + (-sum(free),)
-        if any(c and (c > 0) != (b > 0) for c, b in zip(step, base.x)) or not any(step):
-            continue
-        lower = tuple(b - c for b, c in zip(base.x, step))
-        if 0 in lower:
-            continue
-        try:
-            assert signature(RamificationProfile(lower)) != witness.signature
-        except OnWallError:
-            pass
+    # the documented witness at 4x and 4000x, then every chamber at n = 4
+    scaled = [tuple(k * v for v in EXAMPLE_C1.x) for k in (4, 4000)]
+    witnesses = [ChamberWitness.at(RamificationProfile(x)) for x in scaled]
+    witnesses += _small_chambers(4)
+    for i, witness in enumerate(witnesses):
+        base = chamber_nodes(witness, 0, 0).base
+        assert signature(base) == witness.signature
+        bound = EXAMPLE_C1.degree - 1 if i < 2 else witness.point.degree
+        assert base.degree <= bound
+        # no unit step with the base's signs leads further down inside the chamber
+        n = base.n
+        for free in itertools.product((-1, 0, 1), repeat=n - 1):
+            step = free + (-sum(free),)
+            if any(c and (c > 0) != (b > 0) for c, b in zip(step, base.x)) or not any(step):
+                continue
+            lower = tuple(b - c for b, c in zip(base.x, step))
+            if 0 in lower:
+                continue
+            try:
+                assert signature(RamificationProfile(lower)) != witness.signature
+            except OnWallError:
+                pass
 
 
 @pytest.mark.parametrize(

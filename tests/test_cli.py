@@ -1,11 +1,12 @@
 """End-to-end tests of the command line interface.
 
-Each case runs the installed module in a subprocess and checks stdout JSON,
-stderr notices, and exit codes.
+Each case runs the package from this source tree in a subprocess and checks
+stdout JSON, stderr notices, and exit codes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,10 +15,13 @@ import sys
 import pytest
 
 _BASE = [sys.executable, "-m", "hurwitzlab"]
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _run(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
     env = os.environ.copy()
+    # the source tree first, so an uninstalled checkout runs too
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     env.update(env_extra or {})
     return subprocess.run(
         _BASE + list(args), capture_output=True, text=True, env=env, timeout=600
@@ -178,6 +182,19 @@ def test_fit_first_example_chamber():
     assert len(payload["validation"]) == 5
 
 
+def test_fit_scaled_example_chamber():
+    # the documented witness times 100000 fits to the same polynomial and
+    # validation; only the witness in the output differs
+    here = _run("fit", "-g", "0", "-x", "7,1,-2,-3,-3", "--json")
+    there = _run("fit", "-g", "0", "-x", "700000,100000,-200000,-300000,-300000", "--json")
+    assert here.returncode == there.returncode == 0
+    payload = _stdout_json(there)
+    assert payload.pop("witness") == [700000, 100000, -200000, -300000, -300000]
+    expected = _stdout_json(here)
+    expected.pop("witness")
+    assert payload == expected
+
+
 def test_fit_on_wall_point_rejected():
     proc = _run("fit", "-g", "0", "-x", "4,1,-1,-1,-3")
     assert proc.returncode == 2
@@ -254,6 +271,17 @@ def test_wallcross_normalizes_complement_input():
     assert _stdout_json(proc)["wall"] == [2, 5]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("wallcross", "--wall", "9"), ("fit", "--oversample", "0")],
+    ids=["wallcross-wall", "fit-oversample"],
+)
+def test_invalid_argument_exits_2(args):
+    proc = _run(args[0], "-g", "0", "-x", "7,1,-2,-3,-3", *args[1:])
+    assert proc.returncode == 2
+    assert _stderr_json(proc)["error"] == "INVALID_ARGUMENT"
+
+
 def test_wallcross_adjacency_not_found():
     proc = _run(
         "wallcross", "-g", "0", "--profile=-1,3,-2", "--wall", "2",
@@ -267,7 +295,7 @@ def test_wallcross_adjacency_not_found():
 
 
 def test_selftest_reduced_grid_passes():
-    proc = _run("selftest", "--r-max", "10", "--grid-max-d", "3", "--json")
+    proc = _run("selftest", "--r-max", "10", "--json")
     assert proc.returncode == 0
     payload = _stdout_json(proc)
     assert payload["ok"] is True
@@ -276,13 +304,19 @@ def test_selftest_reduced_grid_passes():
     assert "documented example values" in names
 
 
-def test_selftest_mutated_normalization_fails():
-    proc = _run(
-        "selftest", "--r-max", "5", "--grid-max-d", "2", "--mutate-normalization",
-        "--json",
-    )
-    assert proc.returncode == 1
-    payload = _stdout_json(proc)
+def test_selftest_mutated_normalization_fails(monkeypatch, capsys):
+    # a broken labeled normalization: the character route counts twice
+    from hurwitzlab import cli
+
+    real = cli.frobenius_connected
+
+    def doubled(profile, g):
+        result = real(profile, g)
+        return dataclasses.replace(result, value=2 * result.value)
+
+    monkeypatch.setattr(cli, "frobenius_connected", doubled)
+    assert cli.main(["selftest", "--r-max", "5", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     bad = [c for c in payload["checks"] if not c["ok"]]
     assert any(c["name"] == "documented example values" for c in bad)
@@ -328,5 +362,6 @@ def test_exit_code_mapping(capsys):
     assert _emit_error(AdjacencyNotFoundError("nothing within budget")) == 5
     assert _emit_error(BudgetExceededError("too big")) == 3
     assert _emit_error(UnstableCaseError("1/d")) == 2
+    assert _emit_error(ValueError("no such wall"), code="INVALID_ARGUMENT") == 2
     captured = capsys.readouterr()
     assert '"error": "NOT_POLYNOMIAL"' in captured.err

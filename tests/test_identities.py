@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitzlab import identities
 from hurwitzlab.identities import (
     alternating_sum,
     beta_integral_exact,
@@ -59,15 +60,18 @@ def test_report_is_clean():
     assert report.to_json_dict()["failures"] == []
 
 
-def test_mutated_harness_detects_failures():
+def test_mutated_harness_detects_failures(monkeypatch):
     def broken(r: int, r2: int) -> int:
         return alternating_sum(r, r2) + (1 if r == 5 else 0)
 
-    report = verify_identities(30, alternating=broken)
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "alternating_sum", broken)
+        report = verify_identities(30)
     assert not report.ok
     assert any("alternating_sum(5," in failure for failure in report.failures)
 
     def broken_beta(r1: int, r2: int) -> Fraction:
         return beta_integral_exact(r1, r2) * 2
 
-    assert not verify_identities(5, beta=broken_beta).ok
+    monkeypatch.setattr(identities, "beta_integral_exact", broken_beta)
+    assert not verify_identities(5).ok

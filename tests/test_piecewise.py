@@ -76,6 +76,18 @@ def test_fit_is_sample_set_independent():
     assert first.polynomial == second.polynomial
 
 
+def test_fit_at_a_scaled_witness_matches_the_unscaled_one():
+    # the slide moves 100000x the documented witness to the same base in a
+    # few checks per direction, well inside the default node budget
+    witness = _witness(7, 1, -2, -3, -3)
+    scaled = _witness(*(100_000 * v for v in witness.point.x))
+    assert scaled.signature == witness.signature
+    assert chamber_nodes(scaled, 2, 5).base == chamber_nodes(witness, 2, 5).base
+    here, there = fit_chamber(witness, 0), fit_chamber(scaled, 0)
+    assert there.polynomial == here.polynomial == MultiPoly(5, {(2, 0, 0, 0): 6})
+    assert there.validation == here.validation
+
+
 def test_fit_validates_on_held_out_points():
     fit = fit_chamber(_witness(3, 1, -2, -2), 0, oversample=5)
     assert len(fit.validation) == 5
