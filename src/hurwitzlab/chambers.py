@@ -4,7 +4,7 @@ A wall is the hyperplane where a subset sum of the coordinates vanishes; on
 the zero-sum space a subset and its complement cut out the same wall, so the
 canonical representative is the one not containing index 1.  A chamber is
 identified by the vector of signs of every canonical subset sum.  Fit nodes
-and adjacency search use deterministic candidate sequences only, so results
+and the adjacent chamber's witness are built deterministically, so results
 are reproducible.
 """
 
@@ -307,45 +307,43 @@ def chamber_nodes(
     )
 
 
-def adjacent_chamber(
-    witness: ChamberWitness, wall: Wall, budget: int = 100_000
-) -> ChamberWitness:
-    """Search for a witness whose signature flips exactly at `wall`.
+def adjacent_chamber(witness: ChamberWitness, wall: Wall) -> ChamberWitness:
+    """A witness across `wall` alone: the signature with that sign flipped.
 
-    Scales the base point to create room, then moves along e_i - e_l with i
-    in the wall set and l outside it, scanning step sizes just past the sign
-    change of the target subset sum; each candidate is checked for a full
-    one-flip signature match.  Not every flip is realizable (the flipped sign
-    vector can be empty), in which case the budget runs out and a structured
-    error is raised.
+    With s the wall's sum at x and dir = -sign(s), every wall sum moves by -1,
+    0 or +1 per unit along e_i - e_l (i in the wall set, l outside it).  The
+    gap of (i, l) is the least |s_W| - |s| over the other walls W whose sum
+    the move drives towards zero, 2 if there is none.  A gap >= 2 lets
+    x + (|s| + 1) dir (e_i - e_l) cross `wall` alone; a gap of 1 needs 2x:
+    2x + (2|s| + 1) dir (e_i - e_l).  One pass over the pairs takes the first
+    with gap >= 2, else the first with gap 1.  Only these directions from x
+    are looked at: a flip reachable only some other way, or not at all (the
+    flipped sign vector can cut out nothing), raises AdjacencyNotFoundError.
     """
     n = witness.point.n
     if wall not in walls(n):
         raise ValueError(f"{wall} is not a canonical wall for n={n}")
-    base_sum = wall.subset_sum(witness.point.x)
-    direction = -1 if base_sum > 0 else 1
-    target = witness.signature.flipped(wall).signs
-    inside = list(wall.indices)
-    outside = list(wall.complement())
-    spent = 0
-    k = 0
-    while spent < budget:
-        k += 1
-        scaled = tuple(k * v for v in witness.point.x)
-        start = abs(k * base_sum) + 1
-        for i in inside:
-            for l in outside:
-                for extra in range(k + 2):
-                    if spent >= budget:
-                        break
-                    spent += 1
-                    t = (start + extra) * direction
-                    candidate = list(scaled)
-                    candidate[i - 1] += t
-                    candidate[l - 1] -= t
-                    candidate_t = tuple(candidate)
-                    if _is_valid_sample(candidate_t, n, target):
-                        return ChamberWitness.at(RamificationProfile(candidate_t))
-    raise AdjacencyNotFoundError(
-        f"no point with the signature flipped at {wall} found within {budget} candidates"
-    )
+    x = witness.point.x
+    s = wall.subset_sum(x)
+    direction = -1 if s > 0 else 1
+    sums = [(w.indices, v) for w, v in zip(walls(n), _wall_sums(x, n)) if w != wall]
+    scale = pair = None
+    for i, l in itertools.product(wall.indices, wall.complement()):
+        toward = [abs(v) - abs(s) for w, v in sums if ((i in w) - (l in w)) * v * s > 0]
+        gap = min(toward, default=2)
+        if gap >= 2:
+            scale, pair = 1, (i, l)
+            break
+        if gap == 1 and pair is None:
+            scale, pair = 2, (i, l)
+    if pair is None:
+        raise AdjacencyNotFoundError(f"no direction e_i - e_l flips {wall} alone")
+    i, l = pair
+    t = (scale * abs(s) + 1) * direction
+    point = [scale * v for v in x]
+    point[i - 1] += t
+    point[l - 1] -= t
+    other = ChamberWitness.at(RamificationProfile(tuple(point)))
+    if other.signature != witness.signature.flipped(wall):
+        raise AssertionError(f"{other.point} is not across {wall} alone from {x}")
+    return other

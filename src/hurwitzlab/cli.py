@@ -3,7 +3,8 @@
 All values are printed as exact "p/q" strings inside JSON on stdout; notices
 and structured errors go to stderr.  Exit codes: 0 success, 2 invalid input
 or a point on a wall, 3 enumeration budget exceeded, 4 failed polynomial
-validation, 5 adjacency search failure, 1 anything else.
+validation, 5 no direction e_i - e_l (i in the wall set, l outside it) flips
+the wall alone, 1 anything else.
 """
 
 from __future__ import annotations
@@ -73,14 +74,12 @@ def _notice(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit_error(err: Exception, code: str | None = None, extra: dict | None = None) -> int:
+def _emit_error(err: Exception, code: str | None = None) -> int:
     code = code or getattr(err, "code", "ERROR")
     payload = {"error": code, "detail": str(err)}
     wall = getattr(err, "wall", None)
     if wall is not None:
         payload["wall"] = list(wall.indices)
-    if extra:
-        payload.update(extra)
     print(json.dumps(payload), file=sys.stderr)
     return _EXIT_CODES.get(code, 1)
 
@@ -97,7 +96,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidProfileError(f"cannot parse index list {text!r}") from exc
+        raise ValueError(f"cannot parse index list {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def cmd_wallcross(args) -> int:
     fit_here = fit_chamber(
         witness, args.g, oversample=args.oversample, sampling_budget=args.budget
     )
-    other = adjacent_chamber(witness, wall, budget=args.budget)
+    other = adjacent_chamber(witness, wall)
     fit_there = fit_chamber(
         other, args.g, oversample=args.oversample, sampling_budget=args.budget
     )
@@ -579,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=100_000,
-        help="node and adjacency search budget",
+        help="node search budget",
     )
     wallcross.set_defaults(func=cmd_wallcross)
 

@@ -60,7 +60,7 @@ class SamplingBudgetExceededError(HurwitzlabError):
 
 
 class AdjacencyNotFoundError(HurwitzlabError):
-    """No point realizing the flipped signature was found within budget."""
+    """No direction e_i - e_l from the witness flips the wall alone."""
 
     code = "ADJACENCY_NOT_FOUND"
 

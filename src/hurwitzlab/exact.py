@@ -92,10 +92,6 @@ class MultiPoly:
         return cls(n, {})
 
     @classmethod
-    def constant(cls, n: int, value: Fraction | int) -> MultiPoly:
-        return cls(n, {(0,) * (n - 1): Fraction(value)})
-
-    @classmethod
     def variable(cls, n: int, index: int) -> MultiPoly:
         """The canonical form of x_index (1-based); x_n expands to -(x_1+...+x_{n-1})."""
         if not 1 <= index <= n:
@@ -112,9 +108,6 @@ class MultiPoly:
         return cls(n, terms)
 
     # -- structural protocol ----------------------------------------------
-
-    def term_map(self) -> dict[Exponents, Fraction]:
-        return dict(self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -178,7 +171,7 @@ class MultiPoly:
             return self.__mul__(other)
         return NotImplemented
 
-    # -- evaluation and structure -------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x: Sequence[int | Fraction]) -> Fraction:
         """Evaluate at a zero-sum point given with all n coordinates."""
@@ -197,19 +190,6 @@ class MultiPoly:
                     term *= value**e
             total += term
         return total
-
-    def total_degree(self) -> int:
-        """Maximum total degree of the stored terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
-
-    def homogeneous_components(self) -> dict[int, MultiPoly]:
-        """Split by total degree; the components sum back to the polynomial."""
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
-        for exps, coeff in self.terms:
-            buckets.setdefault(sum(exps), {})[exps] = coeff
-        return {deg: MultiPoly(self.n, terms) for deg, terms in sorted(buckets.items())}
 
     # -- text forms ----------------------------------------------------------
 

@@ -48,14 +48,6 @@ class IdentityReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "r_max": self.r_max,
-            "cases": self.cases,
-            "failures": list(self.failures),
-        }
-
 
 def verify_identities(r_max: int) -> IdentityReport:
     """Check both identities against (-1)^(r1-1) for all 2 <= r <= r_max.

@@ -5,9 +5,11 @@ that always determines them; the dense Gauss-Jordan solver below is the
 independent route the tests compare it against.  The package's oracle counts
 its last transposition factor in closed form; ``oracle_tuples`` below
 enumerates every factor, the last one included, and is the route the tests
-compare it against.  The permutation helpers, the determinant and the
-polynomial constructors serve tests that check the package's conventions from
-first principles.
+compare it against.  The package builds the witness across a wall in closed
+form; ``adjacent_by_search`` below scans scaled candidates until a budget runs
+out, and is the route the tests compare it against.  The permutation helpers,
+the determinant, the polynomial constructors and the polynomial accessors
+serve tests that check the package's conventions from first principles.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from hurwitzlab.chambers import ChamberSignature, Wall, walls
+from hurwitzlab.chambers import (
+    ChamberSignature,
+    ChamberWitness,
+    Wall,
+    _is_valid_sample,
+    walls,
+)
+from hurwitzlab.errors import AdjacencyNotFoundError
 from hurwitzlab.exact import Exponents, MultiPoly, compositions, monomials_up_to_degree
 from hurwitzlab.hurwitz import RamificationProfile, simple_branch_count
 from hurwitzlab.symgroup import Partition
@@ -116,6 +125,27 @@ def raw_terms_poly(n: int, raw: Mapping[Exponents, Fraction | int]) -> MultiPoly
             term = (-1) ** last * weight * Fraction(coeff)
             acc[merged] = acc.get(merged, Fraction(0)) + term
     return MultiPoly(n, acc)
+
+
+def term_map(poly: MultiPoly) -> dict[Exponents, Fraction]:
+    return dict(poly.terms)
+
+
+def constant(n: int, value: Fraction | int) -> MultiPoly:
+    return MultiPoly(n, {(0,) * (n - 1): Fraction(value)})
+
+
+def total_degree(poly: MultiPoly) -> int:
+    """Maximum total degree of the stored terms; -1 for the zero polynomial."""
+    return max((sum(e) for e, _ in poly.terms), default=-1)
+
+
+def homogeneous_components(poly: MultiPoly) -> dict[int, MultiPoly]:
+    """Split by total degree; the components sum back to the polynomial."""
+    buckets: dict[int, dict[Exponents, Fraction]] = {}
+    for exps, coeff in poly.terms:
+        buckets.setdefault(sum(exps), {})[exps] = coeff
+    return {deg: MultiPoly(poly.n, terms) for deg, terms in sorted(buckets.items())}
 
 
 def poly_from_json(data: Mapping) -> MultiPoly:
@@ -333,3 +363,45 @@ def oracle_tuples(profile: RamificationProfile, g: int) -> tuple[int, int]:
 
     recurse(0, ncycles0)
     return examined, accepted
+
+
+def adjacent_by_search(witness: ChamberWitness, wall: Wall, budget: int) -> ChamberWitness:
+    """Search for a witness whose signature flips exactly at `wall`.
+
+    Scales the base point to create room, then moves along e_i - e_l with i
+    in the wall set and l outside it, scanning step sizes just past the sign
+    change of the target subset sum; each candidate is checked for a full
+    one-flip signature match.  Not every flip is realizable (the flipped sign
+    vector can be empty), in which case the budget runs out and a structured
+    error is raised.
+    """
+    n = witness.point.n
+    if wall not in walls(n):
+        raise ValueError(f"{wall} is not a canonical wall for n={n}")
+    base_sum = wall.subset_sum(witness.point.x)
+    direction = -1 if base_sum > 0 else 1
+    target = witness.signature.flipped(wall).signs
+    inside = list(wall.indices)
+    outside = list(wall.complement())
+    spent = 0
+    k = 0
+    while spent < budget:
+        k += 1
+        scaled = tuple(k * v for v in witness.point.x)
+        start = abs(k * base_sum) + 1
+        for i in inside:
+            for l in outside:
+                for extra in range(k + 2):
+                    if spent >= budget:
+                        break
+                    spent += 1
+                    t = (start + extra) * direction
+                    candidate = list(scaled)
+                    candidate[i - 1] += t
+                    candidate[l - 1] -= t
+                    candidate_t = tuple(candidate)
+                    if _is_valid_sample(candidate_t, n, target):
+                        return ChamberWitness.at(RamificationProfile(candidate_t))
+    raise AdjacencyNotFoundError(
+        f"no point with the signature flipped at {wall} found within {budget} candidates"
+    )

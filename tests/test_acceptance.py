@@ -29,6 +29,7 @@ from hurwitzlab.piecewise import (
     wall_crossing,
 )
 from hurwitzlab.chambers import adjacent_chamber, chamber_nodes
+from reference import homogeneous_components, term_map, total_degree
 
 P_POINT = (7, 1, -2, -3, -3)
 Q_POINT = (9, 4, -5, -5, -3)
@@ -89,12 +90,12 @@ def test_criterion_2_example_polynomials(example_pair):
     assert fit_q.polynomial == 6 * _x(5, 1) * (_x(5, 1) + _x(5, 2) + _x(5, 5))
     assert crossing.polynomial == 6 * _x(5, 1) * (_x(5, 2) + _x(5, 5))
     # frozen canonical term maps, derived once by hand
-    assert fit_p.polynomial.term_map() == {(2, 0, 0, 0): Fraction(6)}
-    assert fit_q.polynomial.term_map() == {
+    assert term_map(fit_p.polynomial) == {(2, 0, 0, 0): Fraction(6)}
+    assert term_map(fit_q.polynomial) == {
         (1, 0, 1, 0): Fraction(-6),
         (1, 0, 0, 1): Fraction(-6),
     }
-    assert crossing.polynomial.term_map() == {
+    assert term_map(crossing.polynomial) == {
         (2, 0, 0, 0): Fraction(-6),
         (1, 0, 1, 0): Fraction(-6),
         (1, 0, 0, 1): Fraction(-6),
@@ -108,10 +109,10 @@ def test_criterion_3_degree_bounds(genus0_matrix):
     for fit in genus0_matrix:
         n = fit.witness.point.n
         assert fit.degree_bound == n - 3
-        assert fit.polynomial.total_degree() <= n - 3
+        assert total_degree(fit.polynomial) <= n - 3
     cubic = fit_chamber(ChamberWitness.at(RamificationProfile((1, -1))), 1)
     assert cubic.degree_bound == 3
-    assert cubic.polynomial.total_degree() == 3
+    assert total_degree(cubic.polynomial) == 3
     for d in (7, 8):
         point = RamificationProfile((d, -d))
         assert cubic.polynomial.evaluate(point.x) == oracle_count(point, 1).value
@@ -170,7 +171,7 @@ def test_criterion_7_genus0_structure(genus0_matrix, example_pair):
     started = time.perf_counter()
     for fit in genus0_matrix:
         n = fit.witness.point.n
-        components = fit.polynomial.homogeneous_components()
+        components = homogeneous_components(fit.polynomial)
         assert list(components) == [n - 3], f"fit at {fit.witness.point} inhomogeneous"
 
     crossings = [example_pair[2]]

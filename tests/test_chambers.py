@@ -1,4 +1,4 @@
-"""Tests for walls, signatures, chamber sampling, and adjacency search."""
+"""Tests for walls, signatures, chamber sampling, and adjacent chambers."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from hurwitzlab.errors import (
 )
 from hurwitzlab.exact import compositions, lattice_point
 from hurwitzlab.hurwitz import RamificationProfile
-from reference import determinant, sign_at
+from reference import adjacent_by_search, determinant, sign_at
 
 EXAMPLE_C1 = RamificationProfile((7, 1, -2, -3, -3))
 EXAMPLE_C2 = RamificationProfile((9, 4, -5, -5, -3))
@@ -120,7 +120,8 @@ def test_sample_includes_scalings_for_two_parts():
 
 def _small_chambers(n: int) -> list[ChamberWitness]:
     """One witness for every chamber met by a point whose free coordinates
-    lie in [-4, 4]; that is every chamber for n <= 5."""
+    lie in [-4, 4]; that is every chamber for n <= 4, and 146 of the 370 at
+    n = 5."""
     chambers = {}
     for free in itertools.product(range(-4, 5), repeat=n - 1):
         point = free + (-sum(free),)
@@ -282,7 +283,28 @@ def test_adjacent_chamber_infeasible_flip():
     # x2 is the only positive entry: x2 < 0 with x2 + x3 > 0 cannot happen
     witness = ChamberWitness.at(RamificationProfile((-1, 3, -2)))
     with pytest.raises(AdjacencyNotFoundError):
-        adjacent_chamber(witness, Wall.canonical((2,), 3), budget=3000)
+        adjacent_chamber(witness, Wall.canonical((2,), 3))
+
+
+def test_adjacent_chamber_matches_the_scaled_search():
+    # the search's budget reaches its scale k = 4; along e_i - e_l every wall
+    # is crossed at an integer distance, so it finds a point at k = 1 or 2 or
+    # none at all, and the closed form must find the same one or none
+    pairs = found = 0
+    for n in (2, 3, 4, 5):
+        for witness in _small_chambers(n):
+            for wall in walls(n):
+                pairs += 1
+                budget = 18 * len(wall.indices) * len(wall.complement())
+                try:
+                    expected = adjacent_by_search(witness, wall, budget)
+                except AdjacencyNotFoundError:
+                    with pytest.raises(AdjacencyNotFoundError):
+                        adjacent_chamber(witness, wall)
+                else:
+                    assert adjacent_chamber(witness, wall) == expected
+                    found += 1
+    assert (pairs, found) == (2434, 734)
 
 
 def test_signature_flip_helper():

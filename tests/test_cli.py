@@ -273,8 +273,12 @@ def test_wallcross_normalizes_complement_input():
 
 @pytest.mark.parametrize(
     "args",
-    [("wallcross", "--wall", "9"), ("fit", "--oversample", "0")],
-    ids=["wallcross-wall", "fit-oversample"],
+    [
+        ("wallcross", "--wall", "9"),
+        ("wallcross", "--wall", "2,x"),
+        ("fit", "--oversample", "0"),
+    ],
+    ids=["wallcross-wall", "wallcross-wall-text", "fit-oversample"],
 )
 def test_invalid_argument_exits_2(args):
     proc = _run(args[0], "-g", "0", "-x", "7,1,-2,-3,-3", *args[1:])
@@ -283,10 +287,7 @@ def test_invalid_argument_exits_2(args):
 
 
 def test_wallcross_adjacency_not_found():
-    proc = _run(
-        "wallcross", "-g", "0", "--profile=-1,3,-2", "--wall", "2",
-        "--budget", "3000",
-    )
+    proc = _run("wallcross", "-g", "0", "--profile=-1,3,-2", "--wall", "2")
     assert proc.returncode == 5
     assert _stderr_json(proc)["error"] == "ADJACENCY_NOT_FOUND"
 

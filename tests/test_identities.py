@@ -57,7 +57,6 @@ def test_report_is_clean():
     assert report.ok
     assert report.failures == ()
     assert report.cases == sum(r - 1 for r in range(2, 31))
-    assert report.to_json_dict()["failures"] == []
 
 
 def test_mutated_harness_detects_failures(monkeypatch):

@@ -31,7 +31,7 @@ from hurwitzlab.piecewise import (
     product_formula_wc,
     wall_crossing,
 )
-from reference import interpolate, poly_from_json
+from reference import constant, interpolate, poly_from_json, total_degree
 
 
 def _witness(*entries: int) -> ChamberWitness:
@@ -43,7 +43,7 @@ def _witness(*entries: int) -> ChamberWitness:
 
 def test_three_point_chamber_is_constant_one():
     fit = fit_chamber(_witness(2, 1, -3), 0)
-    assert fit.polynomial == MultiPoly.constant(3, 1)
+    assert fit.polynomial == constant(3, 1)
     assert fit.degree_bound == 0
 
 
@@ -55,7 +55,7 @@ def test_two_part_genus_zero_refused():
 def test_genus_one_two_part_fit_degree_three():
     fit = fit_chamber(_witness(1, -1), 1)
     assert fit.degree_bound == 3
-    assert fit.polynomial.total_degree() == 3
+    assert total_degree(fit.polynomial) == 3
 
     # independent route: evaluate at d = 2..6, interpolate directly,
     # then validate at d = 7, 8 against the enumeration oracle
