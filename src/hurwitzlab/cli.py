@@ -283,10 +283,11 @@ def cmd_wallcross(args) -> int:
     if tuple(sorted(set(requested))) != wall.indices:
         _notice(f"normalized wall [{args.wall}] to canonical representative {wall}")
 
+    # before any fit, so that a wall with no chamber across it exits 5 at once
+    other = adjacent_chamber(witness, wall)
     fit_here = fit_chamber(
         witness, args.g, oversample=args.oversample, sampling_budget=args.budget
     )
-    other = adjacent_chamber(witness, wall)
     fit_there = fit_chamber(
         other, args.g, oversample=args.oversample, sampling_budget=args.budget
     )
@@ -413,19 +414,25 @@ def _check_symmetry() -> CheckResult:
 
 
 def _check_orthogonality(max_d: int = 8) -> CheckResult:
+    # the cross sums read the keys: both columns must encode lambda alike
     for d in range(1, max_d + 1):
-        for mu in partitions_of(d):
-            total = sum(chi * chi for chi in character_column(mu).values())
-            if total != z_lambda(mu):
-                return CheckResult(
-                    name="character column orthogonality",
-                    ok=False,
-                    detail=f"sum chi^2 on class {mu} is {total}, expected {z_lambda(mu)}",
-                )
+        classes = list(partitions_of(d))
+        for a, mu in enumerate(classes):
+            for nu in classes[a:]:
+                small, large = sorted((character_column(mu), character_column(nu)), key=len)
+                total = sum(chi * large.get(key, 0) for key, chi in small.items())
+                expected = z_lambda(mu) if mu == nu else 0
+                if total != expected:
+                    return CheckResult(
+                        name="character column orthogonality",
+                        ok=False,
+                        detail=f"sum chi(mu) chi(nu) on classes {mu}, {nu} is {total}, "
+                        f"expected {expected}",
+                    )
     return CheckResult(
         name="character column orthogonality",
         ok=True,
-        detail=f"all classes up to d={max_d}",
+        detail=f"all pairs of classes up to d={max_d}",
     )
 
 

@@ -34,7 +34,7 @@ from .errors import (
     InvalidProfileError,
     NegativeBranchCountError,
 )
-from .symgroup import Partition, character_column, z_lambda
+from .symgroup import Partition, character_column, content_of_mask, z_lambda
 
 DEFAULT_ORACLE_BUDGET = 10**9
 
@@ -432,6 +432,9 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> Fractio
     where cont(lambda), the sum of j - i over the cells (i, j) of lambda, is
     the central character of lambda on the transposition class.  Only
     lambda with both characters nonzero are visited, and the sum is an integer.
+    The two columns are intersected on their bead-mask keys, which is sound
+    because alpha and beta have the same size d and so both use d beads;
+    cont(lambda) is read from the mask (``content_of_mask``).
     """
     if alpha.size != beta.size:
         raise ValueError(f"|alpha|={alpha.size} differs from |beta|={beta.size}")
@@ -442,11 +445,10 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> Fractio
         raise ValueError("r must be nonnegative")
     small, large = sorted((character_column(alpha), character_column(beta)), key=len)
     total = 0
-    for lam, chi in small.items():
-        other = large.get(lam)
+    for mask, chi in small.items():
+        other = large.get(mask)
         if other is not None:
-            cont = sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam.parts))
-            total += chi * other * cont**r
+            total += chi * other * content_of_mask(mask, d) ** r
     return Fraction(math.factorial(d) * total, z_lambda(alpha) * z_lambda(beta))
 
 

@@ -2,9 +2,9 @@
 
 Characters come a column at a time: ``character_column(mu)`` maps every
 partition lambda with chi_lambda(mu) != 0 to that value.  It runs the
-Murnaghan-Nakayama rule forwards, adding rim hooks of the lengths in mu to the
-empty partition on a beta-set, and is memoized, so no tables are shipped and
-any degree works.
+Murnaghan-Nakayama rule forwards on an abacus held in one int, and is
+memoized, so no tables are shipped and any degree works.  That int is the
+column's key for lambda; keys are comparable only between columns of one d.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -69,39 +69,38 @@ def partitions_of(d: int) -> Iterator[Partition]:
         yield Partition(parts)
 
 
-def _beta_set(parts: tuple[int, ...]) -> tuple[int, ...]:
-    m = len(parts)
-    return tuple(parts[i] + (m - 1 - i) for i in range(m))
-
-
-def _partition_from_beta(beta: Sequence[int]) -> tuple[int, ...]:
-    ordered = sorted(beta, reverse=True)
-    m = len(ordered)
-    parts = tuple(ordered[i] - (m - 1 - i) for i in range(m))
-    return tuple(p for p in parts if p > 0)
-
-
 @lru_cache(maxsize=None)
-def character_column(mu: Partition) -> dict[Partition, int]:
-    """Every nonzero chi_lambda(mu), keyed by lambda; do not mutate the result.
+def character_column(mu: Partition) -> dict[int, int]:
+    """Every nonzero chi_lambda(mu), keyed by lambda's bead mask; do not mutate.
 
-    Rim hooks of the lengths in mu, largest first, are added to the empty
-    partition: on a beta-set, adding a k-hook moves one bead from b to a free
-    b + k, with sign (-1)^(beads strictly between).  Padding the beta-set with
-    k zero rows lets the hook start new rows.  Coefficients that cancel to 0
-    are dropped after each hook.
+    With d = |mu| beads, bit p of the mask is set when a bead sits at p, and
+    lambda (padded to d rows) has its beads at lambda_i + d - i, so the empty
+    partition is (1 << d) - 1.  Rim hooks of the lengths in mu, largest first,
+    are added to it: a k-hook moves one bead from b to a free b + k, with sign
+    (-1)^(beads strictly between).  Zero coefficients are dropped after each
+    hook.  Keys of columns at different d are not comparable.
     """
-    column: dict[tuple[int, ...], int] = {(): 1}
+    d = mu.size
+    column = {(1 << d) - 1: 1}
     for k in mu.parts:
-        grown: dict[tuple[int, ...], int] = {}
-        for lam, chi in column.items():
-            beta = _beta_set(lam + (0,) * k)
-            members = set(beta)
-            for b in beta:
-                if b + k in members:
-                    continue
-                height = sum(1 for c in beta if b < c < b + k)
-                new_lam = _partition_from_beta([b + k if c == b else c for c in beta])
-                grown[new_lam] = grown.get(new_lam, 0) + (-1) ** height * chi
-        column = {lam: chi for lam, chi in grown.items() if chi}
-    return {Partition(lam): chi for lam, chi in column.items()}
+        between = (1 << (k - 1)) - 1
+        grown: dict[int, int] = {}
+        for mask, chi in column.items():
+            movable = mask & ~(mask >> k)
+            while movable:
+                low = movable & -movable  # the bead at b = low.bit_length() - 1
+                movable ^= low
+                new = mask ^ low ^ (low << k)
+                odd = ((mask >> low.bit_length()) & between).bit_count() & 1
+                grown[new] = grown.get(new, 0) + (-chi if odd else chi)
+        column = {mask: chi for mask, chi in grown.items() if chi}
+    return column
+
+
+def content_of_mask(mask: int, d: int) -> int:
+    """cont(lambda), the sum of j - i over the cells (i, j) of lambda, from its
+    mask on d beads: a bead at p ends a row whose last cell has content p - d,
+    and the beads of the empty partition, at 0..d-1, fix the constant."""
+    beads = (p for p in range(mask.bit_length()) if mask >> p & 1)
+    # the constant is minus the sum of the same terms over p < d
+    return sum(p * (p + 1) // 2 - d * p for p in beads) + d * (d - 1) * (2 * d - 1) // 6

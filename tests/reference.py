@@ -7,7 +7,11 @@ its last transposition factor in closed form; ``oracle_tuples`` below
 enumerates every factor, the last one included, and is the route the tests
 compare it against.  The package builds the witness across a wall in closed
 form; ``adjacent_by_search`` below scans scaled candidates until a budget runs
-out, and is the route the tests compare it against.  The permutation helpers,
+out, and is the route the tests compare it against.  The package keys its
+character columns by bead masks on an abacus held in one int;
+``character_column_by_beta_sets`` below adds the same rim hooks on tuple
+beta-sets and keys by ``Partition``, and ``partition_of_mask`` converts the
+package's keys for comparison.  The permutation helpers,
 the determinant, the polynomial constructors and the polynomial accessors
 serve tests that check the package's conventions from first principles.
 """
@@ -18,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from hurwitzlab.chambers import (
@@ -405,3 +410,50 @@ def adjacent_by_search(witness: ChamberWitness, wall: Wall, budget: int) -> Cham
     raise AdjacencyNotFoundError(
         f"no point with the signature flipped at {wall} found within {budget} candidates"
     )
+
+
+def _beta_set(parts: tuple[int, ...]) -> tuple[int, ...]:
+    m = len(parts)
+    return tuple(parts[i] + (m - 1 - i) for i in range(m))
+
+
+def _partition_from_beta(beta: Sequence[int]) -> tuple[int, ...]:
+    ordered = sorted(beta, reverse=True)
+    m = len(ordered)
+    parts = tuple(ordered[i] - (m - 1 - i) for i in range(m))
+    return tuple(p for p in parts if p > 0)
+
+
+@lru_cache(maxsize=None)
+def character_column_by_beta_sets(mu: Partition) -> dict[Partition, int]:
+    """Every nonzero chi_lambda(mu), keyed by lambda; do not mutate the result.
+
+    Rim hooks of the lengths in mu, largest first, are added to the empty
+    partition: on a beta-set, adding a k-hook moves one bead from b to a free
+    b + k, with sign (-1)^(beads strictly between).  Padding the beta-set with
+    k zero rows lets the hook start new rows.  Coefficients that cancel to 0
+    are dropped after each hook.
+    """
+    column: dict[tuple[int, ...], int] = {(): 1}
+    for k in mu.parts:
+        grown: dict[tuple[int, ...], int] = {}
+        for lam, chi in column.items():
+            beta = _beta_set(lam + (0,) * k)
+            members = set(beta)
+            for b in beta:
+                if b + k in members:
+                    continue
+                height = sum(1 for c in beta if b < c < b + k)
+                new_lam = _partition_from_beta([b + k if c == b else c for c in beta])
+                grown[new_lam] = grown.get(new_lam, 0) + (-1) ** height * chi
+        column = {lam: chi for lam, chi in grown.items() if chi}
+    return {Partition(lam): chi for lam, chi in column.items()}
+
+
+def partition_of_mask(mask: int, d: int) -> Partition:
+    """The partition whose d beads sit at the set bits of mask: the i-th bead
+    from the top, at p, ends row i with lambda_i = p - (d - i)."""
+    beads = [p for p in range(mask.bit_length() - 1, -1, -1) if mask >> p & 1]
+    if len(beads) != d:
+        raise ValueError(f"mask {mask:b} holds {len(beads)} beads, expected {d}")
+    return Partition(tuple(p - (d - i) for i, p in enumerate(beads, 1) if p > d - i))

@@ -307,6 +307,45 @@ def test_adjacent_chamber_matches_the_scaled_search():
     assert (pairs, found) == (2434, 734)
 
 
+def _every_chamber(n: int, count: int) -> list[ChamberWitness]:
+    """One witness for each of the count chambers at n, from shells
+    max |free coordinate| = 1, 2, ... of growing radius until all are met."""
+    index_sets = [tuple(i - 1 for i in wall.indices) for wall in walls(n)]
+    found = {}
+    radius = 0
+    while len(found) < count:
+        radius += 1
+        for free in itertools.product(range(-radius, radius + 1), repeat=n - 1):
+            if radius not in map(abs, free):
+                continue
+            point = free + (-sum(free),)
+            sums = [sum(point[i] for i in indices) for indices in index_sets]
+            if 0 not in sums:
+                found.setdefault(tuple(s > 0 for s in sums), point)
+    return [ChamberWitness.at(RamificationProfile(x)) for x in found.values()]
+
+
+def test_adjacent_chamber_on_every_five_part_chamber():
+    # the resonance arrangement at n = 5 has 370 chambers (OEIS A034997); the
+    # flip of a wall has an adjacent chamber exactly when its sign vector is
+    # one of them, and then the closed form lands in it
+    witnesses = _every_chamber(5, 370)
+    assert len(witnesses) == 370
+    signatures = {witness.signature for witness in witnesses}
+    found = missing = 0
+    for witness in witnesses:
+        for wall in walls(5):
+            target = witness.signature.flipped(wall)
+            if target in signatures:
+                assert adjacent_chamber(witness, wall).signature == target
+                found += 1
+            else:
+                with pytest.raises(AdjacencyNotFoundError):
+                    adjacent_chamber(witness, wall)
+                missing += 1
+    assert (found, missing) == (1520, 4030)
+
+
 def test_signature_flip_helper():
     sig = signature(EXAMPLE_C1)
     wall = Wall.canonical((2, 5), 5)

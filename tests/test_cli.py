@@ -292,6 +292,25 @@ def test_wallcross_adjacency_not_found():
     assert _stderr_json(proc)["error"] == "ADJACENCY_NOT_FOUND"
 
 
+def test_wallcross_adjacency_not_found_fits_nothing(monkeypatch, capsys):
+    from hurwitzlab import cli
+
+    fits = []
+    real = cli.fit_chamber
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_chamber", counted)
+    argv = ["wallcross", "-g", "1", "-x", "6,9,6,6,-27", "--wall", "3,5"]
+    assert cli.main(argv) == 5
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == (
+        "ADJACENCY_NOT_FOUND"
+    )
+    assert fits == []
+
+
 # -- selftest --------------------------------------------------------------------------
 
 
@@ -321,6 +340,27 @@ def test_selftest_mutated_normalization_fails(monkeypatch, capsys):
     assert payload["ok"] is False
     bad = [c for c in payload["checks"] if not c["ok"]]
     assert any(c["name"] == "documented example values" for c in bad)
+
+
+def test_selftest_orthogonality_reads_the_keys(monkeypatch):
+    # one-part columns with their values moved to the next key keep every
+    # sum of squares, so only the cross-column sums can see the fault
+    from hurwitzlab import cli
+
+    real = cli.character_column
+
+    def shifted(mu):
+        column = real(mu)
+        if len(mu) != 1:
+            return column
+        keys = sorted(column)
+        return {key: column[moved] for key, moved in zip(keys, keys[1:] + keys[:1])}
+
+    assert cli._check_orthogonality().ok
+    monkeypatch.setattr(cli, "character_column", shifted)
+    check = cli._check_orthogonality()
+    assert not check.ok
+    assert check.detail == "sum chi(mu) chi(nu) on classes (3), (2,1) is 2, expected 0"
 
 
 # -- in-process contract details ---------------------------------------------------

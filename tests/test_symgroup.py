@@ -7,8 +7,26 @@ import random
 
 import pytest
 
-from hurwitzlab.symgroup import Partition, character_column, partitions_of, z_lambda
-from reference import Permutation, cycle_type, is_transitive
+from hurwitzlab.symgroup import (
+    Partition,
+    character_column,
+    content_of_mask,
+    partitions_of,
+    z_lambda,
+)
+from reference import (
+    Permutation,
+    character_column_by_beta_sets,
+    cycle_type,
+    is_transitive,
+    partition_of_mask,
+)
+
+
+def _column(mu: Partition) -> dict[Partition, int]:
+    """character_column(mu) with its bead-mask keys converted to partitions."""
+    column = character_column(mu)
+    return {partition_of_mask(mask, mu.size): chi for mask, chi in column.items()}
 
 
 def _hook_dimension(parts: tuple[int, ...]) -> int:
@@ -89,7 +107,7 @@ def test_z_lambda_two_one():
 def test_empty_partition_base_case():
     empty = Partition(())
     assert z_lambda(empty) == 1
-    assert character_column(empty) == {empty: 1}
+    assert _column(empty) == {empty: 1}
 
 
 def test_class_sizes_partition_the_group():
@@ -104,17 +122,17 @@ def test_class_sizes_partition_the_group():
 def test_trivial_representation():
     for d in (3, 5):
         for mu in partitions_of(d):
-            assert character_column(mu)[Partition((d,))] == 1
+            assert _column(mu)[Partition((d,))] == 1
 
 
 def test_sign_representation():
     for d in (3, 5, 6):
         for mu in partitions_of(d):
-            assert character_column(mu)[Partition((1,) * d)] == (-1) ** (d - len(mu))
+            assert _column(mu)[Partition((1,) * d)] == (-1) ** (d - len(mu))
 
 
 def test_standard_character_on_three_cycle():
-    column = character_column(Partition((3,)))
+    column = _column(Partition((3,)))
     assert column[Partition((2, 1))] == -1
     # cross-check via column orthogonality at d = 3
     assert sum(chi * chi for chi in column.values()) == z_lambda(Partition((3,)))
@@ -123,18 +141,48 @@ def test_standard_character_on_three_cycle():
 @pytest.mark.parametrize("d", range(1, 9))
 def test_column_orthogonality(d):
     for mu in partitions_of(d):
-        column = character_column(mu)
+        column = _column(mu)
         assert all(lam.size == d and chi != 0 for lam, chi in column.items())
         assert sum(chi * chi for chi in column.values()) == z_lambda(mu)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_dimensions_match_hook_formula(d):
-    column = character_column(Partition((1,) * d))
+    column = _column(Partition((1,) * d))
     assert set(column) == set(partitions_of(d))
     for lam, dim in column.items():
         assert dim == _hook_dimension(lam.parts)
     assert sum(dim * dim for dim in column.values()) == math.factorial(d)
+
+
+def test_column_matches_the_beta_set_route():
+    for d in range(11):
+        for mu in partitions_of(d):
+            column = character_column(mu)
+            assert all(mask.bit_count() == d for mask in column)
+            assert _column(mu) == character_column_by_beta_sets(mu)
+
+
+def test_content_of_mask():
+    for d in range(15):
+        for lam in partitions_of(d):
+            parts = lam.parts + (0,) * (d - len(lam))
+            mask = sum(1 << (p + d - i) for i, p in enumerate(parts, 1))
+            assert partition_of_mask(mask, d) == lam
+            expected = sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam.parts))
+            assert content_of_mask(mask, d) == expected
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_columns_are_orthogonal_on_their_keys(d):
+    # the cross sums read the keys: they vanish only if both columns encode
+    # each lambda by the same mask
+    classes = list(partitions_of(d))
+    for mu in classes:
+        for nu in classes:
+            small, large = sorted((character_column(mu), character_column(nu)), key=len)
+            total = sum(chi * large.get(mask, 0) for mask, chi in small.items())
+            assert total == (z_lambda(mu) if mu == nu else 0)
 
 
 # -- transitivity ----------------------------------------------------------------
