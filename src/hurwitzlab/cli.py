@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=10**9,
-        help="enumeration leaf budget for the oracle",
+        help="largest oracle tuple space C(d,2)^r allowed (it bounds the size, not the work)",
     )
     compute.add_argument("--cache", help="cache file path (JSON lines)")
     compute.add_argument(

@@ -38,7 +38,7 @@ class NegativeBranchCountError(HurwitzlabError):
 
 
 class BudgetExceededError(HurwitzlabError):
-    """The enumeration would exceed the configured leaf budget."""
+    """The oracle's tuple space C(d,2)^r would exceed the configured budget."""
 
     code = "BUDGET_EXCEEDED"
 

@@ -1,10 +1,13 @@
 """Double Hurwitz numbers, exactly, by two independent routes.
 
-``oracle_count`` enumerates tuples of transposition factors closing up a fixed
-monodromy representative and filters for connectedness; it is slow but its
-correctness is elementary, so it serves as the ground truth.  It enumerates
-all factors but the last, which it counts in closed form from the cycle
-lengths of the running product and the orbits of the group generated so far.
+``oracle_count`` counts the tuples of transposition factors that, with a fixed
+permutation of the cycle type over 0, multiply to the cycle type over
+infinity and generate a transitive group; its correctness is elementary, so
+it serves as the ground truth.  It counts them by cut-and-join
+(Goulden-Jackson): a recursion over the conjugacy classes of (running
+product, orbits of the group generated so far), in which each factor cuts one
+cycle of the product or joins two.  It shares no code with the character
+route.
 ``frobenius_connected`` evaluates Frobenius's formula in content form, an
 integer sum over the partitions lambda of d where both character columns are
 nonzero, for the disconnected count of factorizations.  It extracts the
@@ -179,198 +182,102 @@ def _finalize(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force monodromy oracle
+# Monodromy oracle by cut-and-join
 # ---------------------------------------------------------------------------
 
 
-def _representative(alpha: Partition, d: int) -> list[int]:
-    """A 0-based image word of cycle type alpha, cycles laid out consecutively."""
-    images = list(range(d))
-    start = 0
-    for part in alpha.parts:
-        for offset in range(part):
-            images[start + offset] = start + (offset + 1) % part
-        start += part
-    return images
+# The class of (running product, orbits): for each orbit the sorted lengths
+# of the product's cycles in it, with the orbits themselves sorted.
+OrbitCycles = tuple[tuple[int, ...], ...]
 
 
-def _count_tuples(
-    sigma0: list[int],
-    r: int,
-    beta_parts: tuple[int, ...],
-    d: int,
-) -> tuple[int, int]:
-    """Count accepted transposition r-tuples.
+def _moves(state: OrbitCycles, delta: int) -> dict[OrbitCycles, int]:
+    """The classes one transposition leads to from state, and how many lead there.
 
-    Returns (leaves examined, tuples accepted).  The first r-1 factors are
-    enumerated depth first.  The search keeps the running product
-    pi = sigma0 * tau_1 * ... * tau_j and its cycle count incrementally and
-    prunes a branch as soon as the remaining factors cannot reach the target
-    cycle count (each factor changes the count by exactly +-1, so both the
-    distance and its parity must fit).
-
-    The last factor is counted in closed form from the cycle lengths of pi
-    and the orbits of the group generated so far; every pi-cycle lies in one
-    orbit.  If pi has one cycle fewer than beta, tau_r must split a cycle:
-    a cycle of length L splits into {k, L-k} under L transpositions, or L/2
-    when 2k = L, and the group must already be transitive.  If pi has one
-    cycle more, tau_r must merge two cycles of lengths L_i and L_j, which
-    L_i * L_j transpositions do, and the group ends transitive when it had
-    one orbit, or two with the cycles in different orbits.  Each
-    transposition reaching the target cycle count is an examined leaf:
-    sum C(L,2) of them for a split, C(d,2) - sum C(L,2) for a merge, the same
-    leaves a full enumeration of tau_r visits.
+    For delta = +1 the transposition cuts a cycle of length L into {k, L-k}:
+    L transpositions do, or L/2 when 2k = L, and the orbits stay.  For
+    delta = -1 it joins two cycles of lengths L1 and L2: L1 * L2
+    transpositions do, and the two orbits merge if they differ.
     """
-    all_taus = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    target = len(beta_parts)
-    beta_count = [0] * (d + 1)
-    for part in beta_parts:
-        beta_count[part] += 1
-    prod = list(sigma0)
-    inv = [0] * d
-    for i, v in enumerate(prod):
-        inv[v] = i
+    moves: dict[OrbitCycles, int] = {}
 
-    # Orbits of the subgroup generated so far are tracked via the sigma0-cycle
-    # label of each point plus the factors chosen so far.
-    label = [0] * d
-    ncycles0 = 0
-    seen = [False] * d
-    for start in range(d):
-        if seen[start]:
-            continue
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            label[j] = ncycles0
-            j = sigma0[j]
-        ncycles0 += 1
+    def add(weight: int, others: tuple, orbit: tuple[int, ...]) -> None:
+        child = tuple(sorted(others + (tuple(sorted(orbit)),)))
+        moves[child] = moves.get(child, 0) + weight
 
-    chosen: list[tuple[int, int]] = []
-    examined = 0
-    accepted = 0
-
-    def same_cycle(a: int, b: int) -> bool:
-        j = prod[a]
-        while j != a:
-            if j == b:
-                return True
-            j = prod[j]
-        return False
-
-    def apply_tau(a: int, b: int) -> None:
-        ia, ib = inv[a], inv[b]
-        prod[ia], prod[ib] = b, a
-        inv[a], inv[b] = ib, ia
-
-    def cycles_of_prod() -> tuple[list[int], list[int]]:
-        """Lengths of the cycles of pi and one point on each."""
-        lengths: list[int] = []
-        points: list[int] = []
-        done = [False] * d
-        for start in range(d):
-            if done[start]:
+    for i, orbit in enumerate(state):
+        others = state[:i] + state[i + 1 :]
+        for p, length in enumerate(orbit):
+            left = orbit[:p] + orbit[p + 1 :]
+            if delta == 1:
+                for k in range(1, length // 2 + 1):
+                    weight = length // 2 if 2 * k == length else length
+                    add(weight, others, left + (k, length - k))
                 continue
-            length = 0
-            j = start
-            while not done[j]:
-                done[j] = True
-                length += 1
-                j = prod[j]
-            lengths.append(length)
-            points.append(start)
-        return lengths, points
+            # join with a later cycle of this orbit, then with a cycle of a
+            # later orbit, so that each pair of cycles is taken once
+            for q in range(p, len(left)):
+                joined = left[:q] + left[q + 1 :] + (length + left[q],)
+                add(length * left[q], others, joined)
+            for j in range(i, len(others)):
+                for q, other in enumerate(others[j]):
+                    joined = left + others[j][:q] + others[j][q + 1 :] + (length + other,)
+                    add(length * other, others[:j] + others[j + 1 :], joined)
+    return moves
 
-    def orbits() -> tuple[list[int], int]:
-        """The orbit root of each sigma0-cycle label, and the number of orbits."""
-        parent = list(range(ncycles0))
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+def _count_tuples(alpha: Partition, beta: Partition, r: int) -> tuple[int, int]:
+    """Count accepted transposition r-tuples by cut-and-join.
 
-        components = ncycles0
-        for a, b in chosen:
-            ra, rb = find(label[a]), find(label[b])
-            if ra != rb:
-                parent[ra] = rb
-                components -= 1
-        return [find(i) for i in range(ncycles0)], components
+    Returns (tuples examined, tuples accepted).  After sigma0 and the first j
+    factors, the completions tau_{j+1}..tau_r depend only on the running
+    product pi = sigma0 * tau_1 * ... * tau_j and on the orbits of the group
+    generated so far: every pi-cycle lies in one orbit.  Conjugating by any
+    permutation g maps the completions of (pi, orbits) one-to-one onto those
+    of (g pi g^-1, g(orbits)), keeping cycle counts, cycle types and
+    transitivity.  So the completions depend only on the conjugacy class of
+    the pair, which is the sorted tuple over the orbits of the sorted lengths
+    of the pi-cycles in each.  The recursion runs on these classes, memoized
+    for this call, and steps by the cut and join classes of ``_moves``.
 
-    def last_factor(cycles: int) -> tuple[int, int]:
-        """(examined, accepted) over tau_r for the current pi."""
-        split = cycles + 1 == target
-        lengths, points = cycles_of_prod()
-        same = sum(length * (length - 1) // 2 for length in lengths)
-        leaves = same if split else d * (d - 1) // 2 - same
-        # tau_r gives type beta iff the parts pi has beyond beta (extra) and
-        # the parts it lacks (missing) are {L} and {k, L-k} for a split, or
-        # {L_i, L_j} and {L_i + L_j} for a merge.
-        count = [0] * (d + 1)
-        for length in lengths:
-            count[length] += 1
-        extra: list[int] = []
-        missing: list[int] = []
-        for length in range(1, d + 1):
-            diff = count[length] - beta_count[length]
-            extra += [length] * diff
-            missing += [length] * -diff
-        shape = (1, 2) if split else (2, 1)
-        if (len(extra), len(missing)) != shape or sum(extra) != sum(missing):
-            return leaves, 0
-        root, components = orbits()
-        # a split keeps the orbits, so it needs one; a merge joins at most two
-        if components > len(extra):
-            return leaves, 0
-        if split:
-            whole = extra[0]
-            per_cycle = whole if missing[0] != missing[1] else whole // 2
-            return leaves, count[whole] * per_cycle
-        p, q = extra
-        if components == 1:
-            pairs = count[p] * count[q] if p != q else math.comb(count[p], 2)
-        else:
-            where = [root[label[j]] for j in points]
-            on_p = [o for o, length in zip(where, lengths) if length == p]
-            on_q = [o for o, length in zip(where, lengths) if length == q]
-            if p != q:
-                pairs = sum(x != y for x in on_p for y in on_q)
-            else:
-                pairs = sum(x != y for x, y in itertools.combinations(on_p, 2))
-        return leaves, pairs * p * q
+    Each factor changes the cycle count by exactly +-1, so a step is pruned
+    as soon as the remaining factors cannot reach the cycle count of beta
+    (both the distance and its parity must fit).  An examined tuple is one
+    that survives this prune to the last factor, as in a depth-first
+    enumeration with the same prune; it is accepted when the product has
+    type beta and the group is transitive.  For r = 0 the one empty tuple is
+    examined.
+    """
+    target_type = tuple(sorted(beta.parts))
+    target = len(target_type)
+    memo: dict[tuple[OrbitCycles, int], tuple[int, int]] = {}
 
-    def recurse(depth: int, cycles: int) -> None:
-        nonlocal examined, accepted
-        remaining = r - depth
-        if remaining == 1:
-            if abs(cycles - target) == 1:
-                leaves, hits = last_factor(cycles)
-                examined += leaves
-                accepted += hits
-            return
-        for a, b in all_taus:
-            delta = 1 if same_cycle(a, b) else -1
-            new_cycles = cycles + delta
-            gap = abs(new_cycles - target)
-            if gap <= remaining - 1 and (gap + remaining - 1) % 2 == 0:
-                apply_tau(a, b)
-                chosen.append((a, b))
-                recurse(depth + 1, new_cycles)
-                chosen.pop()
-                apply_tau(a, b)
+    def count(state: OrbitCycles, rem: int) -> tuple[int, int]:
+        if rem == 0:
+            return 1, int(len(state) == 1 and state[0] == target_type)
+        key = (state, rem)
+        if key in memo:
+            return memo[key]
+        cycles = sum(map(len, state))
+        examined = accepted = 0
+        for delta in (1, -1):
+            gap = abs(cycles + delta - target)
+            if gap > rem - 1 or (gap + rem - 1) % 2:
+                continue
+            for child, weight in _moves(state, delta).items():
+                leaves, hits = count(child, rem - 1)
+                examined += weight * leaves
+                accepted += weight * hits
+        memo[key] = examined, accepted
+        return examined, accepted
 
-    if r == 0:
-        # sigma0 alone: transitive only as one d-cycle
-        return 1, int(ncycles0 == 1 and beta_parts == (d,))
-    recurse(0, ncycles0)
-    return examined, accepted
+    return count(tuple(sorted((part,) for part in alpha.parts)), r)
 
 
 def enumeration_size(d: int, r: int) -> int:
-    """C(d,2)^r, the count of r-tuples of transpositions in S_d: the size
-    ``oracle_count`` checks against its budget."""
+    """C(d,2)^r, the count of r-tuples of transpositions in S_d: the size of
+    the tuple space, which ``oracle_count`` checks against its budget.  It
+    bounds the tuples counted, not the work of counting them."""
     return math.comb(d, 2) ** r
 
 
@@ -379,16 +286,16 @@ def oracle_count(
     g: int,
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> HurwitzResult:
-    """Count genus-g covers by exhaustive monodromy enumeration.
+    """Count genus-g covers by counting their monodromy tuples.
 
-    One representative of the cycle type over 0 is fixed and the r-tuples of
-    transposition factors are counted: the first r-1 are enumerated, the last
-    is counted from the cycle structure of their product (see
-    ``_count_tuples``).  A tuple is accepted when the product has the cycle
-    type over infinity and the generated group is transitive.  The stats
-    report as examined every tuple a full enumeration would reach after
-    pruning, so they match one.  The class-size factor cancels into the
-    labeled normalization, giving
+    One permutation sigma0 of the cycle type over 0 is fixed and the r-tuples
+    of transposition factors are counted by cut-and-join on conjugacy classes
+    (see ``_count_tuples``).  A tuple is accepted when the product has the
+    cycle type over infinity and the generated group is transitive.  The
+    stats report as examined every tuple a depth-first enumeration with the
+    same cycle-count prune would reach, so they match one.  The budget
+    bounds the size C(d,2)^r of the tuple space, as that enumeration's cost
+    did.  The class-size factor cancels into the labeled normalization, giving
 
         H = prod_k m_k(beta)! * accepted / prod_k k^{m_k(alpha)}.
 
@@ -402,9 +309,8 @@ def oracle_count(
             f"enumeration size C({d},2)^{r} = {size} exceeds budget {budget}"
         )
     alpha, beta = profile.alpha(), profile.beta()
-    sigma0 = _representative(alpha, d)
     started = time.perf_counter()
-    examined, accepted = _count_tuples(sigma0, r, beta.parts, d)
+    examined, accepted = _count_tuples(alpha, beta, r)
     value = Fraction(_mult_factorial(beta) * accepted, _alpha_weight(alpha))
     stats = EnumerationStats(
         tuples_examined=examined,

@@ -3,9 +3,9 @@
 The package recovers chamber polynomials by Newton differences on a lattice
 that always determines them; the dense Gauss-Jordan solver below is the
 independent route the tests compare it against.  The package's oracle counts
-its last transposition factor in closed form; ``oracle_tuples`` below
-enumerates every factor, the last one included, and is the route the tests
-compare it against.  The package builds the witness across a wall in closed
+transposition tuples by cut-and-join on conjugacy classes of (running
+product, orbits); ``oracle_tuples`` below enumerates every tuple depth first
+on actual permutations, and is the route the tests compare it against.  The package builds the witness across a wall in closed
 form; ``adjacent_by_search`` below scans scaled candidates until a budget runs
 out, and is the route the tests compare it against.  The package keys its
 character columns by bead masks on an abacus held in one int;

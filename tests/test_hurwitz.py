@@ -15,6 +15,7 @@ from hurwitzlab.errors import (
 )
 from hurwitzlab.hurwitz import (
     RamificationProfile,
+    enumeration_size,
     enumerate_profiles,
     frobenius_connected,
     frobenius_disconnected,
@@ -145,11 +146,29 @@ def test_oracle_last_factor_makes_the_group_transitive():
         ((7, 1, -2, -3, -3), 0, (14749, 1029)),
         ((9, 4, -5, -5, -3), 0, (302978, 9720)),
         ((5, 1, -2, -2, -2), 1, (475000, 31250)),
+        ((6, 1, -2, -2, -3), 1, (2640519, 330480)),
+        ((3, 2, -4, -1), 2, (838531, 499968)),
+        ((7, 1, -2, -3, -3), 1, (11294304, 924385)),
     ],
-    ids=["294", "540", "g1"],
+    ids=["294", "540", "g1", "g1-six", "g2", "g1-witness"],
 )
 def test_oracle_recorded_leaf_counts(entries, g, leaves):
+    # recorded from a depth-first enumeration of the first r-1 factors
     assert _leaves(oracle_count(_profile(*entries), g)) == leaves
+
+
+def test_oracle_value_on_the_documented_genus_one_fit_witness():
+    assert oracle_count(_profile(7, 1, -2, -3, -3), 1).value == 264110
+
+
+@pytest.mark.parametrize(
+    "entries, g", [((1,) * 12 + (-12,), 0), ((10,) + (-1,) * 10, 2)], ids=["1^12", "10"]
+)
+def test_oracle_matches_characters_far_past_the_default_budget(entries, g):
+    profile = _profile(*entries)
+    result = oracle_count(profile, g, budget=10**30)
+    assert enumeration_size(profile.degree, result.r) > 10**20
+    assert result.value == frobenius_connected(profile, g).value
 
 
 def test_oracle_enumeration_on_first_example():

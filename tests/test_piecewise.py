@@ -169,9 +169,7 @@ PINNED_GENUS_TWO = {
 
 @pytest.mark.parametrize("entries", list(PINNED_GENUS_TWO), ids=str)
 def test_genus_two_fits_match_recorded_polynomials(entries):
-    # the oracle spot checks at r = 2g - 2 + n would dominate; held-out
-    # validation and the degree window still prove the fit
-    fit = fit_chamber(_witness(*entries), 2, spot_checks=0)
+    fit = fit_chamber(_witness(*entries), 2)
     recorded = poly_from_json({"n": len(entries), "terms": PINNED_GENUS_TWO[entries]})
     assert fit.polynomial == recorded
 
@@ -198,7 +196,7 @@ def test_six_part_fit_matches_recorded_polynomial():
         for exps in itertools.permutations(shape + (0,) * (5 - len(shape)))
     }
     assert len(terms) == 456
-    fit = fit_chamber(_witness(16, 8, 4, 2, 1, -31), 1, spot_checks=0)
+    fit = fit_chamber(_witness(16, 8, 4, 2, 1, -31), 1)
     assert fit.polynomial == MultiPoly(6, terms)
 
 
