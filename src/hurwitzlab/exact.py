@@ -1,6 +1,7 @@
 """Exact rationals and multivariate polynomials on the zero-sum lattice.
 
-All values are ``fractions.Fraction``; nothing in this package ever rounds.
+Values are ``fractions.Fraction``, summed as integers over one denominator
+where that is cheaper; nothing in this package ever rounds.
 Polynomials live in canonical coordinates: on the hyperplane
 x_1 + ... + x_n = 0 the last variable is redundant, so x_n is eliminated via
 x_n = -(x_1 + ... + x_{n-1}) and a polynomial is a sparse map from exponent
@@ -59,7 +60,7 @@ class MultiPoly:
     descending, so equality and hashing are structural.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_over_lcm")
 
     def __init__(self, n: int, terms: Mapping[Exponents, Fraction | int] | None = None):
         if n < 2:
@@ -84,6 +85,7 @@ class MultiPoly:
                 reverse=True,
             )
         )
+        self._over_lcm: tuple[int, list[tuple[Exponents, int]]] | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -173,23 +175,25 @@ class MultiPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, x: Sequence[int | Fraction]) -> Fraction:
-        """Evaluate at a zero-sum point given with all n coordinates."""
+    def evaluate(self, x: Sequence[int]) -> Fraction:
+        """Evaluate at a zero-sum lattice point given with all n coordinates:
+        integer numerators over the lcm of the denominators, which are
+        computed once per polynomial, and one division."""
         if len(x) != self.n:
             raise DimensionMismatchError(
                 f"point has {len(x)} coordinates, polynomial expects {self.n}"
             )
-        if sum(Fraction(v) for v in x) != 0:
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in x):
+            raise ValueError(f"point {tuple(x)} must have integer coordinates")
+        if sum(x) != 0:
             raise NonZeroSumError(f"coordinates of {tuple(x)} do not sum to zero")
-        free = [Fraction(v) for v in x[: self.n - 1]]
-        total = Fraction(0)
-        for exps, coeff in self.terms:
-            term = coeff
-            for value, e in zip(free, exps):
-                if e:
-                    term *= value**e
-            total += term
-        return total
+        if self._over_lcm is None:
+            den = math.lcm(*(coeff.denominator for _, coeff in self.terms))
+            scaled = [(e, c.numerator * (den // c.denominator)) for e, c in self.terms]
+            self._over_lcm = den, scaled
+        den, scaled = self._over_lcm
+        # exps has n - 1 entries, so map stops before x_n
+        return Fraction(sum(c * math.prod(map(pow, x, e)) for e, c in scaled), den)
 
     # -- text forms ----------------------------------------------------------
 

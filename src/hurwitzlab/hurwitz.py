@@ -37,7 +37,7 @@ from .errors import (
     InvalidProfileError,
     NegativeBranchCountError,
 )
-from .symgroup import Partition, character_column, content_of_mask, z_lambda
+from .symgroup import Partition, character_column, content_of_mask
 
 DEFAULT_ORACLE_BUDGET = 10**9
 
@@ -136,29 +136,14 @@ def simple_branch_count(g: int, n: int) -> int:
     return r
 
 
-def _alpha_weight(alpha: Partition) -> int:
-    """prod_k k^{m_k(alpha)}, the denominator of the labeled oracle count."""
-    w = 1
-    for k, m in alpha.multiplicities().items():
-        w *= k**m
-    return w
-
-
-def _mult_factorial(lam: Partition) -> int:
-    f = 1
-    for m in lam.multiplicities().values():
-        f *= math.factorial(m)
-    return f
-
-
 def invariant_violation(profile: RamificationProfile, r: int, value: Fraction) -> str | None:
     """Why value cannot be the count for profile with r branch points, or None.
 
     Cheap sanity invariants, checked on every computed value and on every
     value read back from the result cache.
     """
-    weight = _alpha_weight(profile.alpha())
-    if (value * weight).denominator != 1:
+    weight = math.prod(profile.positives())
+    if weight % value.denominator:
         return f"integrality violated: {value} * {weight} is not an integer"
     if value < 0:
         return f"negative count {value} for {profile}"
@@ -284,7 +269,7 @@ def enumeration_size(d: int, r: int) -> int:
 def oracle_count(
     profile: RamificationProfile,
     g: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    budget: int | None = DEFAULT_ORACLE_BUDGET,
 ) -> HurwitzResult:
     """Count genus-g covers by counting their monodromy tuples.
 
@@ -295,7 +280,7 @@ def oracle_count(
     stats report as examined every tuple a depth-first enumeration with the
     same cycle-count prune would reach, so they match one.  The budget
     bounds the size C(d,2)^r of the tuple space, as that enumeration's cost
-    did.  The class-size factor cancels into the labeled normalization, giving
+    did; None leaves it unbounded.  The class-size factor cancels into the labeled normalization, giving
 
         H = prod_k m_k(beta)! * accepted / prod_k k^{m_k(alpha)}.
 
@@ -304,14 +289,15 @@ def oracle_count(
     r = simple_branch_count(g, profile.n)
     d = profile.degree
     size = enumeration_size(d, r)
-    if size > budget:
+    if budget is not None and size > budget:
         raise BudgetExceededError(
             f"enumeration size C({d},2)^{r} = {size} exceeds budget {budget}"
         )
     alpha, beta = profile.alpha(), profile.beta()
     started = time.perf_counter()
     examined, accepted = _count_tuples(alpha, beta, r)
-    value = Fraction(_mult_factorial(beta) * accepted, _alpha_weight(alpha))
+    labels = math.prod(map(math.factorial, beta.multiplicities().values()))
+    value = Fraction(labels * accepted, math.prod(alpha.parts))
     stats = EnumerationStats(
         tuples_examined=examined,
         tuples_accepted=accepted,
@@ -325,19 +311,19 @@ def oracle_count(
 # ---------------------------------------------------------------------------
 
 
-def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> Fraction:
-    """Number of tuples (sigma_0, tau_1..tau_r, sigma_inf) multiplying to the
-    identity, with sigma_0 of type alpha, sigma_inf of type beta and each
-    tau a transposition, with no connectedness requirement.
+def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> int:
+    """The character sum of Frobenius's formula in content form,
 
-    Frobenius's formula in content form,
-
-        d! / (z_alpha z_beta)
-           * sum_lambda chi_lambda(alpha) * chi_lambda(beta) * cont(lambda)^r,
+        S = sum_lambda chi_lambda(alpha) * chi_lambda(beta) * cont(lambda)^r,
 
     where cont(lambda), the sum of j - i over the cells (i, j) of lambda, is
-    the central character of lambda on the transposition class.  Only
-    lambda with both characters nonzero are visited, and the sum is an integer.
+    the central character of lambda on the transposition class.  The number
+    of tuples (sigma_0, tau_1..tau_r, sigma_inf) multiplying to the identity,
+    with sigma_0 of type alpha, sigma_inf of type beta and each tau a
+    transposition, with no connectedness requirement, is d! S / (z_alpha
+    z_beta); the labeled disconnected count is S / W, with W the product of
+    all parts of alpha and beta.  Only lambda with both characters nonzero
+    are visited.
     The two columns are intersected on their bead-mask keys, which is sound
     because alpha and beta have the same size d and so both use d beads;
     cont(lambda) is read from the mask (``content_of_mask``).
@@ -355,7 +341,7 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> Fractio
         other = large.get(mask)
         if other is not None:
             total += chi * other * content_of_mask(mask, d) ** r
-    return Fraction(math.factorial(d) * total, z_lambda(alpha) * z_lambda(beta))
+    return total
 
 
 def _block_key(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -364,17 +350,10 @@ def _block_key(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]
     return pos, neg
 
 
-def _labeled_disconnected(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Fraction:
-    alpha = Partition.from_iterable(pos)
-    beta = Partition.from_iterable(neg)
-    d = alpha.size
-    labeled = Fraction(_mult_factorial(alpha) * _mult_factorial(beta), math.factorial(d))
-    return labeled * frobenius_disconnected(alpha, beta, r)
-
-
 @lru_cache(maxsize=None)
-def _connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Fraction:
-    """Connected labeled count for the profile with given part multisets.
+def _connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> int:
+    """W times the connected labeled count for the profile with the given
+    part multisets (each sorted decreasing), W the product of all parts.
 
     A disconnected cover splits the labeled marked points S into balanced
     blocks, one per component, and its r branch points among them.  Fixing
@@ -388,10 +367,13 @@ def _connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Frac
     r_B >= |B| - 2 and r_B == |B| (mod 2).  The B = S term is C(S, r); the
     rest are subtracted, with D taken straight from the character sum.  The
     code works with the counts themselves, so each term carries binom(r, r_B).
+    W is multiplicative over the blocks and W times the labeled disconnected
+    count is the integer character sum S of ``frobenius_disconnected``, so
+    the recursion runs on W times the counts, all integers.
     """
     values = pos + tuple(-v for v in neg)
     first, others = values[0], values[1:]
-    value = _labeled_disconnected(pos, neg, r)
+    value = frobenius_disconnected(Partition(pos), Partition(neg), r)
     for size in range(1, len(others)):
         for chosen in itertools.combinations(range(len(others)), size):
             block = (first,) + tuple(others[i] for i in chosen)
@@ -401,11 +383,12 @@ def _connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Frac
             rest_pos, rest_neg = _block_key(
                 [v for i, v in enumerate(others) if i not in chosen]
             )
+            rest_alpha, rest_beta = Partition(rest_pos), Partition(rest_neg)
             for rb in range(len(block) - 2, r + 1, 2):
                 value -= (
                     math.comb(r, rb)
                     * _connected_value(block_pos, block_neg, rb)
-                    * _labeled_disconnected(rest_pos, rest_neg, r - rb)
+                    * frobenius_disconnected(rest_alpha, rest_beta, r - rb)
                 )
     return value
 
@@ -415,11 +398,13 @@ def frobenius_connected(profile: RamificationProfile, g: int) -> HurwitzResult:
 
     Independent of the oracle except for sharing the profile bookkeeping;
     sub-profile counts are memoized on (positive parts, negative parts, r).
+    The recursion yields W times the count, W the product of all parts, in
+    integers; the one division is here.
     """
     r = simple_branch_count(g, profile.n)
     started = time.perf_counter()
     pos, neg = _block_key(profile.x)
-    value = _connected_value(pos, neg, r)
+    value = Fraction(_connected_value(pos, neg, r), math.prod(pos) * math.prod(neg))
     stats = EnumerationStats(
         tuples_examined=None,
         tuples_accepted=None,

@@ -11,7 +11,12 @@ out, and is the route the tests compare it against.  The package keys its
 character columns by bead masks on an abacus held in one int;
 ``character_column_by_beta_sets`` below adds the same rim hooks on tuple
 beta-sets and keys by ``Partition``, and ``partition_of_mask`` converts the
-package's keys for comparison.  The permutation helpers,
+package's keys for comparison.  The package searches fit steps among the
+vectors whose entries carry the chamber's signs; ``box_sign_vectors`` below
+filters whole boxes instead.  The package runs the connected recursion on
+integers scaled by the product of the parts; ``connected_value`` below runs
+it on ``Fraction`` counts over characters from ``character_column_by_beta_sets``.
+The permutation helpers,
 the determinant, the polynomial constructors and the polynomial accessors
 serve tests that check the package's conventions from first principles.
 """
@@ -32,10 +37,10 @@ from hurwitzlab.chambers import (
     _is_valid_sample,
     walls,
 )
-from hurwitzlab.errors import AdjacencyNotFoundError
+from hurwitzlab.errors import AdjacencyNotFoundError, OnWallError
 from hurwitzlab.exact import Exponents, MultiPoly, compositions, monomials_up_to_degree
 from hurwitzlab.hurwitz import RamificationProfile, simple_branch_count
-from hurwitzlab.symgroup import Partition
+from hurwitzlab.symgroup import Partition, z_lambda
 
 
 class InconsistentSystemError(ValueError):
@@ -457,3 +462,103 @@ def partition_of_mask(mask: int, d: int) -> Partition:
     if len(beads) != d:
         raise ValueError(f"mask {mask:b} holds {len(beads)} beads, expected {d}")
     return Partition(tuple(p - (d - i) for i, p in enumerate(beads, 1) if p > d - i))
+
+
+def random_witness(rng, n: int, top: int) -> ChamberWitness:
+    """A witness whose first n - 1 entries are drawn from the nonzero
+    integers in [-top, top], redrawn until it is a profile off every wall."""
+    entries = [v for v in range(-top, top + 1) if v]
+    while True:
+        x = [rng.choice(entries) for _ in range(n - 1)]
+        x.append(-sum(x))
+        if x[-1]:
+            try:
+                return ChamberWitness.at(RamificationProfile(tuple(x)))
+            except OnWallError:
+                pass
+
+
+def box_vectors(n: int, radius: int) -> list[tuple[int, ...]]:
+    """Zero-sum vectors with entries in [-radius, radius], at least one of
+    them +-radius, ordered by degree (sum of positive entries), then
+    lexicographically."""
+    out = []
+    for free in itertools.product(range(-radius, radius + 1), repeat=n - 1):
+        vector = free + (-sum(free),)
+        if max(abs(v) for v in vector) == radius:
+            out.append(vector)
+    out.sort(key=lambda v: (sum(c for c in v if c > 0), v))
+    return out
+
+
+def box_sign_vectors(point: Sequence[int], radius: int) -> list[tuple[int, ...]]:
+    """The vectors of ``box_vectors(len(point), radius)`` whose every entry
+    is 0 or has the sign of point's entry there, in the same order."""
+    return [
+        v
+        for v in box_vectors(len(point), radius)
+        if all(c == 0 or (c > 0) == (p > 0) for c, p in zip(v, point))
+    ]
+
+
+def content(lam: Partition) -> int:
+    """cont(lambda): the sum of j - i over the cells (i, j), row by row."""
+    return sum(part * (part + 1) // 2 - i * part for i, part in enumerate(lam.parts, 1))
+
+
+def disconnected_count(alpha: Partition, beta: Partition, r: int) -> Fraction:
+    """Frobenius's formula in content form on the reference columns:
+    d! / (z_alpha z_beta) * sum_lambda chi_lambda(alpha) chi_lambda(beta) cont(lambda)^r."""
+    left = character_column_by_beta_sets(alpha)
+    right = character_column_by_beta_sets(beta)
+    total = sum(
+        chi * right[lam] * content(lam) ** r for lam, chi in left.items() if lam in right
+    )
+    return Fraction(math.factorial(alpha.size) * total, z_lambda(alpha) * z_lambda(beta))
+
+
+def _mult_factorial(lam: Partition) -> int:
+    return math.prod(math.factorial(m) for m in lam.multiplicities().values())
+
+
+def labeled_disconnected(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Fraction:
+    alpha = Partition.from_iterable(pos)
+    beta = Partition.from_iterable(neg)
+    labeled = Fraction(_mult_factorial(alpha) * _mult_factorial(beta), math.factorial(alpha.size))
+    return labeled * disconnected_count(alpha, beta, r)
+
+
+def _block_key(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    pos = tuple(sorted((v for v in values if v > 0), reverse=True))
+    neg = tuple(sorted((-v for v in values if v < 0), reverse=True))
+    return pos, neg
+
+
+@lru_cache(maxsize=None)
+def connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Fraction:
+    """The connected labeled count by inclusion-exclusion over the balanced
+    block that holds the first marked point, on ``Fraction`` counts:
+
+        D(S, r) = sum over balanced B containing the first point and over r_B
+                  of binom(r, r_B) C(B, r_B) D(S - B, r - r_B),
+
+    with r_B >= |B| - 2 and r_B == |B| (mod 2)."""
+    values = pos + tuple(-v for v in neg)
+    first, others = values[0], values[1:]
+    value = labeled_disconnected(pos, neg, r)
+    for size in range(1, len(others)):
+        for chosen in itertools.combinations(range(len(others)), size):
+            block = (first,) + tuple(others[i] for i in chosen)
+            if sum(block) != 0:
+                continue
+            block_pos, block_neg = _block_key(block)
+            rest_pos, rest_neg = _block_key(
+                [v for i, v in enumerate(others) if i not in chosen]
+            )
+            for rb in range(len(block) - 2, r + 1, 2):
+                value -= (
+                    math.comb(r, rb)
+                    * connected_value(block_pos, block_neg, rb)
+                    * labeled_disconnected(rest_pos, rest_neg, r - rb)
+                )
+    return value

@@ -24,7 +24,14 @@ from hurwitzlab.errors import (
 )
 from hurwitzlab.exact import compositions, lattice_point
 from hurwitzlab.hurwitz import RamificationProfile
-from reference import adjacent_by_search, determinant, sign_at
+from reference import (
+    adjacent_by_search,
+    box_sign_vectors,
+    box_vectors,
+    determinant,
+    random_witness,
+    sign_at,
+)
 
 EXAMPLE_C1 = RamificationProfile((7, 1, -2, -3, -3))
 EXAMPLE_C2 = RamificationProfile((9, 4, -5, -5, -3))
@@ -236,6 +243,71 @@ def test_step_matrix_is_invertible_and_in_the_closed_cone(entries):
         assert sum(step) == 0
         for wall, want in zip(walls(n), witness.signature.signs):
             assert wall.subset_sum(step) * want >= 0
+
+
+@pytest.mark.parametrize("n, top", [(2, 3), (3, 3), (4, 3), (5, 3), (6, 2)])
+def test_sign_vectors_are_the_box_vectors_with_the_point_signs(n, top):
+    for point in itertools.product((1, -1), repeat=n):
+        if len(set(point)) < 2:
+            continue
+        for radius in range(1, top + 1):
+            assert list(chambers._sign_vectors(point, radius)) == box_sign_vectors(
+                point, radius
+            ), (point, radius)
+
+
+def test_closed_cone_steps_carry_the_chamber_signs():
+    # so the whole box and its sign-compatible part offer the step search
+    # the same candidates, in the same order
+    rng = random.Random(23)
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            witness = random_witness(rng, n, 9)
+            target = witness.signature.signs
+            for radius in (1, 2):
+                whole = [
+                    v for v in box_vectors(n, radius)
+                    if chambers._in_closed_cone(v, n, target)
+                ]
+                signed = [
+                    v for v in box_sign_vectors(witness.point.x, radius)
+                    if chambers._in_closed_cone(v, n, target)
+                ]
+                assert whole == signed
+
+
+def test_chamber_nodes_match_the_whole_box_route(monkeypatch):
+    # steps from radius 1 to 3; one 7-part witness needs radius 3, where the
+    # whole box holds 7^6 vectors
+    rng = random.Random(15)
+    witnesses = [random_witness(rng, n, 9) for n in (3, 4, 5, 6) for _ in range(4)]
+    witnesses += [random_witness(rng, 7, 9) for _ in range(2)]
+    designs = [chamber_nodes(witness, 2, 3) for witness in witnesses]
+    monkeypatch.setattr(
+        chambers, "_sign_vectors", lambda point, radius: iter(box_sign_vectors(point, radius))
+    )
+    for witness, design in zip(witnesses, designs):
+        by_boxes = chamber_nodes(witness, 2, 3, budget=10**7)
+        assert design.base == by_boxes.base
+        assert design.steps == by_boxes.steps
+        assert design.nodes == by_boxes.nodes
+        assert design.held_out == by_boxes.held_out
+
+
+def test_seven_part_step_search_stays_small():
+    # the whole-box route checks 300,571 vectors here, over the default
+    # budget; given room, it finds this base and these steps
+    witness = ChamberWitness.at(RamificationProfile((-8, -1, -9, 2, 3, -9, 22)))
+    design = chamber_nodes(witness, 4, 5, budget=20_000)
+    assert design.base.x == (-5, -1, -5, 2, 2, -5, 12)
+    assert design.steps == (
+        (-1, 0, 0, 0, 0, 0, 1),
+        (0, 0, -1, 0, 0, 0, 1),
+        (0, 0, 0, 0, 0, -1, 1),
+        (-1, 0, -1, 0, 1, -1, 2),
+        (-1, 0, -1, 1, 0, -1, 2),
+        (-2, -1, -2, 1, 1, -2, 5),
+    )
 
 
 def test_sample_budget_error():

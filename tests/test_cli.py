@@ -138,8 +138,11 @@ def test_cache_verify_appends_only_on_miss(tmp_path):
     assert len(cache.read_text().splitlines()) == 1
 
 
-@pytest.mark.parametrize("bad_value", ["banana", "-1"])
+# unparsable; negative; parses but is not integral (1/3 times the product 2
+# of the positive parts)
+@pytest.mark.parametrize("bad_value", ["banana", "-1", "1/3"])
 def test_cache_damaged_record_is_recomputed(tmp_path, bad_value):
+    reason = {"banana": "unparsable", "-1": "negative", "1/3": "integrality"}[bad_value]
     cache = tmp_path / "cache.jsonl"
     record = {"key": "g=0;pos=2;neg=-1,-1", "value": bad_value, "method": "frobenius"}
     cache.write_text(json.dumps(record) + "\n")
@@ -148,7 +151,7 @@ def test_cache_damaged_record_is_recomputed(tmp_path, bad_value):
     payload = _stdout_json(proc)
     assert payload["value"] == "1"
     assert "cached" not in payload
-    assert "ignoring cache record" in proc.stderr
+    assert f"ignoring cache record for g=0;pos=2;neg=-1,-1: {reason}" in proc.stderr
 
 
 def test_cache_skips_lines_that_are_not_records(tmp_path):
@@ -211,23 +214,24 @@ def test_fit_genus_one_cubic():
     assert payload["degree_bound"] == 3
 
 
-def test_fit_skips_an_unaffordable_spot_check():
-    # both spot checks, at (1,1,1,1,1,1,-6) and at a degree-7 node, would
-    # enumerate more than C(6,2)^7 = 170859375 tuples
+def test_fit_runs_the_spot_checks_of_a_large_fit():
+    # both spot checks, at (1,1,1,1,1,1,-6) and at a degree-7 node, face more
+    # than C(6,2)^7 = 170859375 tuples, and run with no notice
     proc = _run("fit", "-g", "1", "-x", "32,16,8,4,2,1,-63", "--json")
     assert proc.returncode == 0
-    notices = proc.stderr.strip().splitlines()
-    assert notices == [
-        "skipped the oracle spot check at (1,1,1,1,1,1,-6): enumeration size "
-        "170859375 exceeds the oracle budget",
-        "skipped the oracle spot check at (2,1,1,1,1,1,-7): enumeration size "
-        "1801088541 exceeds the oracle budget",
-    ]
+    assert proc.stderr == ""
     payload = _stdout_json(proc)
     assert set(payload) == {
         "witness", "signature", "g", "degree_bound", "polynomial", "display", "validation"
     }
     assert payload["polynomial"]["terms"]["8,0,0,0,0,0"] == "210"
+
+
+def test_fit_seven_part_witness_within_the_default_budget():
+    proc = _run("fit", "-g", "0", "--profile=-8,-1,-9,2,3,-9,22", "--json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert _stdout_json(proc)["degree_bound"] == 4
 
 
 @pytest.mark.parametrize(

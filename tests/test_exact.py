@@ -90,6 +90,33 @@ def test_eval_rejects_bad_points():
         p.evaluate((1, 1, -1))
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(Fraction(1, 2), Fraction(-1, 2), 0), (Fraction(1), -1, 0), (1.0, -1, 0), (True, -1, 0)],
+    ids=["half", "fraction-one", "float", "bool"],
+)
+def test_eval_rejects_non_integer_points(point):
+    with pytest.raises(ValueError, match="integer coordinates"):
+        _x(3, 1).evaluate(point)
+
+
+def test_eval_matches_a_term_by_term_fraction_sum():
+    rng = random.Random(12)
+    n = 4
+    monos = monomials_up_to_degree(n - 1, 4)
+    for _ in range(20):
+        p = MultiPoly(
+            n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in monos}
+        )
+        free = [rng.randint(-6, 6) for _ in range(n - 1)]
+        point = tuple(free) + (-sum(free),)
+        expected = sum(
+            (c * math.prod(v**e for v, e in zip(free, exps)) for exps, c in p.terms),
+            Fraction(0),
+        )
+        assert p.evaluate(point) == expected
+
+
 # -- subtraction and linearity ----------------------------------------------
 
 

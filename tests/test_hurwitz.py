@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,11 +20,12 @@ from hurwitzlab.hurwitz import (
     enumerate_profiles,
     frobenius_connected,
     frobenius_disconnected,
+    invariant_violation,
     oracle_count,
     simple_branch_count,
 )
-from hurwitzlab.symgroup import Partition, partitions_of
-from reference import oracle_tuples
+from hurwitzlab.symgroup import Partition, partitions_of, z_lambda
+from reference import connected_value, oracle_tuples
 
 
 def _profile(*entries: int) -> RamificationProfile:
@@ -178,20 +180,24 @@ def test_oracle_enumeration_on_first_example():
 # -- disconnected character counts ------------------------------------------------
 
 
+def _disconnected_count(alpha: Partition, beta: Partition, r: int) -> Fraction:
+    """The tuple count d! S / (z_alpha z_beta) from the character sum S."""
+    total = frobenius_disconnected(alpha, beta, r)
+    return Fraction(math.factorial(alpha.size) * total, z_lambda(alpha) * z_lambda(beta))
+
+
 def test_disconnected_forced_inverse():
-    assert frobenius_disconnected(Partition((2,)), Partition((2,)), 0) == 1
+    assert _disconnected_count(Partition((2,)), Partition((2,)), 0) == 1
 
 
 def test_disconnected_small_enumeration():
-    assert frobenius_disconnected(Partition((1, 1)), Partition((2,)), 1) == 1
+    assert _disconnected_count(Partition((1, 1)), Partition((2,)), 1) == 1
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
 def test_disconnected_full_cycles(d):
-    import math
-
     expected = math.factorial(d - 1)
-    assert frobenius_disconnected(Partition((d,)), Partition((d,)), 0) == expected
+    assert _disconnected_count(Partition((d,)), Partition((d,)), 0) == expected
 
 
 def test_disconnected_size_mismatch():
@@ -200,8 +206,8 @@ def test_disconnected_size_mismatch():
 
 
 def test_disconnected_degree_one_degenerate():
-    assert frobenius_disconnected(Partition((1,)), Partition((1,)), 0) == 1
-    assert frobenius_disconnected(Partition((1,)), Partition((1,)), 2) == 0
+    assert _disconnected_count(Partition((1,)), Partition((1,)), 0) == 1
+    assert _disconnected_count(Partition((1,)), Partition((1,)), 2) == 0
 
 
 # -- connected counts --------------------------------------------------------------
@@ -249,6 +255,33 @@ def test_methods_agree_on_five_and_six_points(n, max_degree, genera):
     assert cases > 0
 
 
+@pytest.mark.parametrize(
+    "n, max_degree, genera",
+    [
+        (3, 10, (0, 1, 2, 3)),
+        (4, 9, (0, 1, 2)),
+        (5, 8, (0, 1, 2)),
+        (6, 7, (0, 1)),
+        (7, 7, (0, 1)),
+    ],
+    ids=["n3", "n4", "n5", "n6", "n7"],
+)
+def test_connected_counts_match_the_fraction_recursion(n, max_degree, genera):
+    # the integer recursion scaled by the product of all parts against the
+    # Fraction recursion over reference characters
+    cases = 0
+    for profile in _part_multisets(n, max_degree):
+        pos = profile.positives()
+        neg = tuple(-v for v in profile.negatives())
+        for g in genera:
+            r = simple_branch_count(g, n)
+            assert frobenius_connected(profile, g).value == connected_value(pos, neg, r), (
+                f"mismatch at {profile} g={g}"
+            )
+            cases += 1
+    assert cases > 0
+
+
 def test_methods_agree_on_small_sample():
     rng = random.Random(31)
     profiles = enumerate_profiles(3, 3)
@@ -280,6 +313,15 @@ def test_integrality_and_nonnegativity():
             value = frobenius_connected(profile, g).value
             assert value >= 0
             assert (value * _alpha_weight(profile)).denominator == 1
+
+
+def test_invariant_violation_rejects_a_non_integral_value():
+    profile = _profile(3, -1, -2)
+    # the labeled count times the product 3 of the positive parts is an integer
+    assert "integrality" in invariant_violation(profile, 1, Fraction(1, 2))
+    assert invariant_violation(profile, 1, Fraction(1, 3)) is None
+    assert invariant_violation(profile, 1, Fraction(7)) is None
+    assert "negative" in invariant_violation(profile, 1, Fraction(-1, 3))
 
 
 def test_result_metadata():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +19,7 @@ from hurwitzlab.errors import (
 from hurwitzlab.exact import MultiPoly, poly_divmod
 from hurwitzlab.hurwitz import (
     RamificationProfile,
+    enumeration_size,
     frobenius_connected,
     oracle_count,
 )
@@ -31,7 +32,7 @@ from hurwitzlab.piecewise import (
     product_formula_wc,
     wall_crossing,
 )
-from reference import constant, interpolate, poly_from_json, total_degree
+from reference import constant, interpolate, poly_from_json, random_witness, total_degree
 
 
 def _witness(*entries: int) -> ChamberWitness:
@@ -203,29 +204,33 @@ def test_six_part_fit_matches_recorded_polynomial():
 # -- oracle spot checks -------------------------------------------------------------
 
 
-def test_fit_skips_a_spot_check_over_the_oracle_budget(monkeypatch):
+def _count_oracle_calls(monkeypatch) -> list[tuple[RamificationProfile, int | None]]:
     ran = []
 
     def counting_oracle(profile, g, budget):
-        ran.append(profile)
+        ran.append((profile, budget))
         return oracle_count(profile, g, budget)
 
     monkeypatch.setattr(piecewise, "oracle_count", counting_oracle)
-    witness = _witness(7, 1, -2, -3, -3)
-    # r = 3: the base (5,1,-2,-2,-2) has degree 6 and C(6,2)^3 = 3375
-    # tuples, the next node degree 7 and C(7,2)^3 = 9261
-    fit = fit_chamber(witness, 0, oracle_budget=1000)
-    assert fit.polynomial == MultiPoly(5, {(2, 0, 0, 0): 6})
-    assert ran == []
-    assert [(p.x, size) for p, size in fit.skipped_checks] == [
-        ((5, 1, -2, -2, -2), 3375),
-        ((6, 1, -2, -2, -3), 9261),
-    ]
-    assert "skipped" not in json.dumps(fit.to_json_dict())
+    return ran
 
-    fit = fit_chamber(witness, 0, oracle_budget=5000)
-    assert [p.x for p in ran] == [(5, 1, -2, -2, -2)]
-    assert [size for _, size in fit.skipped_checks] == [9261]
+
+def test_fit_runs_spot_checks_past_the_tuple_space_budget(monkeypatch):
+    ran = _count_oracle_calls(monkeypatch)
+    # r = 5 at the two cheapest nodes, of degrees 16 and 17: C(16,2)^5 and
+    # C(17,2)^5 tuples, both past the oracle's default budget of 10^9
+    fit = fit_chamber(_witness(-8, -1, -9, 2, 3, -9, 22), 0)
+    assert [(p.degree, budget) for p, budget in ran] == [(16, None), (17, None)]
+    assert min(enumeration_size(p.degree, 5) for p, _ in ran) > 10**10
+    assert len(fit.polynomial.terms) == 81
+
+
+def test_six_and_seven_part_genus_zero_fits_within_the_default_budget():
+    # with (-8,-1,-9,2,3,-9,22), fitted in the test above
+    rng = random.Random(3)
+    for n in (6, 6, 6, 7, 7, 7):
+        fit = fit_chamber(random_witness(rng, n, 9), 0)
+        assert total_degree(fit.polynomial) == n - 3
 
 
 # the witnesses of the benchmark's fit workload
@@ -239,8 +244,10 @@ BENCHMARK_FITS = [
 
 
 @pytest.mark.parametrize("entries, g", BENCHMARK_FITS, ids=str)
-def test_default_oracle_budget_runs_both_spot_checks(entries, g):
-    assert fit_chamber(_witness(*entries), g).skipped_checks == ()
+def test_default_oracle_budget_runs_both_spot_checks(monkeypatch, entries, g):
+    ran = _count_oracle_calls(monkeypatch)
+    fit_chamber(_witness(*entries), g)
+    assert len(ran) == 2
 
 
 # -- wall crossings -----------------------------------------------------------------
