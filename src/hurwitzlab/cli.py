@@ -16,12 +16,12 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
-from .chambers import ChamberWitness, Wall, adjacent_chamber, walls
+from .chambers import ChamberWitness, Wall, adjacent_chamber
 from .errors import HurwitzlabError, InvalidProfileError
 from .exact import (
     MultiPoly,
@@ -31,16 +31,19 @@ from .exact import (
     poly_divmod,
 )
 from .hurwitz import (
+    EnumerationStats,
+    HurwitzResult,
     RamificationProfile,
     enumerate_profiles,
     frobenius_connected,
+    frobenius_disconnected,
     invariant_violation,
     oracle_count,
     simple_branch_count,
 )
 from .identities import verify_identities
 from .piecewise import fit_chamber, product_formula_report, wall_crossing
-from .symgroup import character_column, partitions_of, z_lambda
+from .symgroup import partitions_of, z_lambda
 
 DEFAULT_CACHE_PATH = "./hurwitz-cache.jsonl"
 
@@ -151,14 +154,6 @@ def _resolve_cache_path(args) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _compute_result(profile: RamificationProfile, g: int, method: str, budget: int):
-    if method == "oracle":
-        return oracle_count(profile, g, budget=budget)
-    if method == "frobenius":
-        return frobenius_connected(profile, g)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _cached_value(record: dict, profile: RamificationProfile, r: int) -> Fraction | None:
     """The record's value if it parses and passes the count invariants, else None
     after a notice: a damaged record is never served."""
@@ -185,54 +180,35 @@ def cmd_compute(args) -> int:
 
     if cached is not None and not args.verify:
         _notice(f"cache hit for {key}")
-        payload = {
-            "value": str(cached),
-            "g": g,
-            "r": r,
-            "method": record.get("method", "unknown"),
-            "stats": {
-                "tuples_examined": None,
-                "tuples_accepted": None,
-                "elapsed_seconds": 0.0,
-            },
-            "cached": True,
-        }
-        _emit(payload, args.json)
+        stats = EnumerationStats(None, None, 0.0)
+        hit = HurwitzResult(cached, g, r, record.get("method", "unknown"), stats)
+        _emit({**hit.to_json_dict(), "cached": True}, args.json)
         return 0
 
+    if args.method == "frobenius":
+        result = frobenius_connected(profile, g)
+    else:
+        result = oracle_count(profile, g, budget=args.budget)
+    payload = result.to_json_dict()
     if args.method == "both":
-        first = _compute_result(profile, g, "oracle", args.budget)
-        second = _compute_result(profile, g, "frobenius", args.budget)
-        if first.value != second.value:
+        second = frobenius_connected(profile, g)
+        if result.value != second.value:
             return _emit_error(
                 AssertionError(
-                    f"oracle gives {first.value}, character sum gives {second.value}"
+                    f"oracle gives {result.value}, character sum gives {second.value}"
                 ),
                 code="METHOD_MISMATCH",
             )
-        value = first.value
-        payload = {
-            "value": str(value),
-            "g": g,
-            "r": r,
-            "method": "both",
-            "stats": {
-                "oracle": first.stats.to_json_dict(),
-                "frobenius": second.stats.to_json_dict(),
-            },
-        }
-    else:
-        result = _compute_result(profile, g, args.method, args.budget)
-        value = result.value
-        payload = result.to_json_dict()
+        stats = {"oracle": payload["stats"], "frobenius": second.stats.to_json_dict()}
+        payload.update(method="both", stats=stats)
 
-    if cached is not None and cached != value:
+    if cached is not None and cached != result.value:
         return _emit_error(
-            AssertionError(f"cache holds {cached} but recomputation gives {value}"),
+            AssertionError(f"cache holds {cached} but recomputation gives {result.value}"),
             code="CACHE_MISMATCH",
         )
     if path and cached is None:
-        cache_append(path, key, str(value), payload["method"])
+        cache_append(path, key, payload["value"], payload["method"])
     _emit(payload, args.json)
     return 0
 
@@ -242,13 +218,15 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args) -> int:
-    profile = _parse_profile(args.x)
-    witness = ChamberWitness.at(profile)
-    fit = fit_chamber(
+def _fit(witness: ChamberWitness, args):
+    return fit_chamber(
         witness, args.g, oversample=args.oversample, sampling_budget=args.budget
     )
-    _emit(fit.to_json_dict(), args.json)
+
+
+def cmd_fit(args) -> int:
+    witness = ChamberWitness.at(_parse_profile(args.x))
+    _emit(_fit(witness, args).to_json_dict(), args.json)
     return 0
 
 
@@ -257,32 +235,22 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _wall_pretty(wall: Wall) -> str:
-    return " + ".join(f"x{i}" for i in wall.indices)
-
-
 def cmd_wallcross(args) -> int:
-    profile = _parse_profile(args.x)
-    witness = ChamberWitness.at(profile)
+    witness = ChamberWitness.at(_parse_profile(args.x))
     requested = _parse_indices(args.wall)
-    wall = Wall.canonical(requested, profile.n)
+    wall = Wall.canonical(requested, witness.point.n)
     if tuple(sorted(set(requested))) != wall.indices:
         _notice(f"normalized wall [{args.wall}] to canonical representative {wall}")
 
     # before any fit, so that a wall with no chamber across it exits 5 at once
     other = adjacent_chamber(witness, wall)
-    fit_here = fit_chamber(
-        witness, args.g, oversample=args.oversample, sampling_budget=args.budget
-    )
-    fit_there = fit_chamber(
-        other, args.g, oversample=args.oversample, sampling_budget=args.budget
-    )
-    crossing = wall_crossing(fit_here, fit_there, wall)
+    crossing = wall_crossing(_fit(witness, args), _fit(other, args), wall)
     payload = crossing.to_json_dict()
 
     quotient, remainder = poly_divmod(crossing.polynomial, wall.form())
     if remainder.is_zero:
-        payload["factored"] = f"({_wall_pretty(wall)}) * ({quotient})"
+        pretty = " + ".join(f"x{i}" for i in wall.indices)
+        payload["factored"] = f"({pretty}) * ({quotient})"
 
     if args.g == 0:
         positive_side = (
@@ -316,34 +284,25 @@ class CheckResult:
     detail: str
 
 
-def _check_identities(r_max: int) -> CheckResult:
+def _check_identities(r_max: int) -> tuple[bool, str]:
     report = verify_identities(r_max)
-    return CheckResult(
-        name="crossing sign identities",
-        ok=report.ok,
-        detail=f"{report.cases} cases up to r={r_max}; failures: {list(report.failures)}",
-    )
+    return report.ok, f"{report.cases} cases up to r={r_max}; failures: {list(report.failures)}"
 
 
-def _check_grid(max_d: int = 4) -> CheckResult:
+_GRID_MAX_D = 4
+
+
+def _check_grid() -> tuple[bool, str]:
     cases = 0
     for n in (2, 3, 4):
-        for profile in enumerate_profiles(n, max_d):
+        for profile in enumerate_profiles(n, _GRID_MAX_D):
             for g in (0, 1):
                 a = oracle_count(profile, g).value
                 b = frobenius_connected(profile, g).value
                 if a != b:
-                    return CheckResult(
-                        name="oracle vs character sum",
-                        ok=False,
-                        detail=f"mismatch at {profile}, g={g}: {a} vs {b}",
-                    )
+                    return False, f"mismatch at {profile}, g={g}: {a} vs {b}"
                 cases += 1
-    return CheckResult(
-        name="oracle vs character sum",
-        ok=True,
-        detail=f"{cases} profile/genus cases agree exactly (d <= {max_d}, n <= 4)",
-    )
+    return True, f"{cases} profile/genus cases agree exactly (d <= {_GRID_MAX_D}, n <= 4)"
 
 
 _EXAMPLE_TARGETS = (
@@ -352,28 +311,20 @@ _EXAMPLE_TARGETS = (
 )
 
 
-def _check_examples() -> CheckResult:
+def _check_examples() -> tuple[bool, str]:
     for entries, g, expected in _EXAMPLE_TARGETS:
         profile = RamificationProfile(entries)
         by_oracle = oracle_count(profile, g).value
         by_characters = frobenius_connected(profile, g).value
         if by_oracle != expected or by_characters != expected:
-            return CheckResult(
-                name="documented example values",
-                ok=False,
-                detail=(
-                    f"H_{g}{profile} gave oracle={by_oracle}, "
-                    f"characters={by_characters}, expected {expected}"
-                ),
+            return False, (
+                f"H_{g}{profile} gave oracle={by_oracle}, "
+                f"characters={by_characters}, expected {expected}"
             )
-    return CheckResult(
-        name="documented example values",
-        ok=True,
-        detail="H_0(7,1,-2,-3,-3)=294 and H_0(9,4,-5,-5,-3)=540 by both methods",
-    )
+    return True, "H_0(7,1,-2,-3,-3)=294 and H_0(9,4,-5,-5,-3)=540 by both methods"
 
 
-def _check_symmetry() -> CheckResult:
+def _check_symmetry() -> tuple[bool, str]:
     bases = [(1, 2, -3), (2, -1, -1), (3, 1, -2, -2)]
     cases = 0
     for base in bases:
@@ -384,43 +335,32 @@ def _check_symmetry() -> CheckResult:
                 if reference is None:
                     reference = value
                 elif value != reference:
-                    return CheckResult(
-                        name="relabeling symmetry",
-                        ok=False,
-                        detail=f"H_{g}{perm} = {value} != {reference}",
-                    )
+                    return False, f"H_{g}{perm} = {value} != {reference}"
                 cases += 1
-    return CheckResult(
-        name="relabeling symmetry",
-        ok=True,
-        detail=f"{cases} relabeled evaluations invariant",
-    )
+    return True, f"{cases} relabeled evaluations invariant"
 
 
-def _check_orthogonality(max_d: int = 8) -> CheckResult:
-    # the cross sums read the keys: both columns must encode lambda alike
-    for d in range(1, max_d + 1):
+_ORTHOGONALITY_MAX_D = 8
+
+
+def _check_orthogonality() -> tuple[bool, str]:
+    # at r = 0 every content power is 1, so the disconnected character sum
+    # is sum_lambda chi_lambda(mu) chi_lambda(nu), read on the column keys
+    for d in range(1, _ORTHOGONALITY_MAX_D + 1):
         classes = list(partitions_of(d))
         for a, mu in enumerate(classes):
             for nu in classes[a:]:
-                small, large = sorted((character_column(mu), character_column(nu)), key=len)
-                total = sum(chi * large.get(key, 0) for key, chi in small.items())
+                total = frobenius_disconnected(mu, nu, 0)
                 expected = z_lambda(mu) if mu == nu else 0
                 if total != expected:
-                    return CheckResult(
-                        name="character column orthogonality",
-                        ok=False,
-                        detail=f"sum chi(mu) chi(nu) on classes {mu}, {nu} is {total}, "
-                        f"expected {expected}",
+                    return False, (
+                        f"sum chi(mu) chi(nu) on classes {mu}, {nu} is {total}, "
+                        f"expected {expected}"
                     )
-    return CheckResult(
-        name="character column orthogonality",
-        ok=True,
-        detail=f"all pairs of classes up to d={max_d}",
-    )
+    return True, f"all pairs of classes up to d={_ORTHOGONALITY_MAX_D}"
 
 
-def _check_interpolation_roundtrip() -> CheckResult:
+def _check_interpolation_roundtrip() -> tuple[bool, str]:
     rng = random.Random(20240901)
     # the last case has det < 0 and an odd degree, so det^D < 0
     for n, degree, sign in ((2, 3, 1), (3, 2, 1), (4, 2, 1), (3, 3, -1)):
@@ -445,44 +385,30 @@ def _check_interpolation_roundtrip() -> CheckResult:
         values = {a: poly.evaluate(lattice_point(base, steps, a)) for a in monos}
         refit = newton_interpolate(base, steps, values, degree)
         if refit != poly:
-            return CheckResult(
-                name="interpolation round trip",
-                ok=False,
-                detail=f"n={n}, degree {degree}, det sign {sign}: {refit} != {poly}",
-            )
-    return CheckResult(
-        name="interpolation round trip",
-        ok=True,
-        detail="random polynomials recovered exactly",
-    )
+            return False, f"n={n}, degree {degree}, det sign {sign}: {refit} != {poly}"
+    return True, "random polynomials recovered exactly"
 
 
 def run_selftest(r_max: int = 30) -> tuple[bool, list[CheckResult]]:
-    checks: list[Callable[[], CheckResult]] = [
-        lambda: _check_identities(r_max),
-        _check_grid,
-        _check_examples,
-        _check_symmetry,
-        _check_orthogonality,
-        _check_interpolation_roundtrip,
-    ]
+    checks = (
+        ("crossing sign identities", lambda: _check_identities(r_max)),
+        ("oracle vs character sum", _check_grid),
+        ("documented example values", _check_examples),
+        ("relabeling symmetry", _check_symmetry),
+        ("character column orthogonality", _check_orthogonality),
+        ("interpolation round trip", _check_interpolation_roundtrip),
+    )
     results = []
-    for check in checks:
-        result = check()
-        _notice(f"[{'ok' if result.ok else 'FAIL'}] {result.name}: {result.detail}")
-        results.append(result)
+    for name, check in checks:
+        ok, detail = check()
+        _notice(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
+        results.append(CheckResult(name, ok, detail))
     return all(r.ok for r in results), results
 
 
 def cmd_selftest(args) -> int:
     ok, results = run_selftest(r_max=args.r_max)
-    payload = {
-        "ok": ok,
-        "checks": [
-            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-        ],
-    }
-    _emit(payload, args.json)
+    _emit({"ok": ok, "checks": [asdict(r) for r in results]}, args.json)
     return 0 if ok else 1
 
 
@@ -542,17 +468,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.set_defaults(func=cmd_compute)
 
+    def add_fit_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--oversample",
+            type=int,
+            default=5,
+            help="held-out validation points beyond the monomial count",
+        )
+        p.add_argument("--budget", type=int, default=100_000, help="node search budget")
+
     fit = sub.add_parser("fit", help="fit the chamber polynomial at a witness")
     add_common(fit)
-    fit.add_argument(
-        "--oversample",
-        type=int,
-        default=5,
-        help="held-out validation points beyond the monomial count",
-    )
-    fit.add_argument(
-        "--budget", type=int, default=100_000, help="node search budget"
-    )
+    add_fit_options(fit)
     fit.set_defaults(func=cmd_fit)
 
     wallcross = sub.add_parser(
@@ -564,13 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma separated wall indices, either representative, e.g. 2,5",
     )
-    wallcross.add_argument("--oversample", type=int, default=5)
-    wallcross.add_argument(
-        "--budget",
-        type=int,
-        default=100_000,
-        help="node search budget",
-    )
+    add_fit_options(wallcross)
     wallcross.set_defaults(func=cmd_wallcross)
 
     selftest = sub.add_parser("selftest", help="run the built-in verification suite")

@@ -65,8 +65,6 @@ class RamificationProfile:
             raise InvalidProfileError(
                 f"profile entries must sum to zero: {self.x} sums to {sum(self.x)}"
             )
-        if not any(v > 0 for v in self.x):
-            raise InvalidProfileError(f"profile needs a positive entry: {self.x}")
 
     @property
     def n(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .chambers import ChamberWitness, Wall, chamber_nodes
 from .errors import (
@@ -31,8 +30,6 @@ from .hurwitz import (
     oracle_count,
     simple_branch_count,
 )
-
-Evaluator = Callable[[RamificationProfile, int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -74,25 +71,19 @@ class WallCrossing:
         }
 
 
-def _default_evaluator(profile: RamificationProfile, g: int) -> Fraction:
-    return frobenius_connected(profile, g).value
-
-
 def fit_chamber(
     witness: ChamberWitness,
     g: int,
     oversample: int = 5,
     *,
     sampling_budget: int = 100_000,
-    evaluator: Evaluator | None = None,
-    spot_checks: int = 2,
 ) -> ChamberPolynomial:
     """Fit the chamber polynomial at the witness's chamber.
 
     Evaluates the count via the character route on the lattice nodes of
     ``chamber_nodes``, which determine a polynomial of degree 4g-3+n,
     recovers it by Newton differences, and proves the fit on `oversample`
-    held-out lattice points.  The `spot_checks` cheapest evaluated points
+    held-out lattice points.  The two cheapest evaluated points
     (lowest cover degree, then lattice order, so the base point first) are
     cross-checked against the enumeration oracle, with no bound on its tuple
     space: the cut-and-join count costs a small share of the character-route
@@ -111,16 +102,15 @@ def fit_chamber(
         raise ValueError("oversample must be positive")
     degree_bound = 4 * g - 3 + n
     simple_branch_count(g, n)  # raises for impossible (g, n)
-    evaluate = evaluator or _default_evaluator
 
     design = chamber_nodes(witness, degree_bound, oversample, sampling_budget)
-    values = {a: evaluate(p, g) for a, p in design.nodes}
+    values = {a: frobenius_connected(p, g).value for a, p in design.nodes}
     poly = newton_interpolate(design.base.x, design.steps, values, degree_bound)
-    held_out = [(p, evaluate(p, g)) for p in design.held_out]
+    held_out = [(p, frobenius_connected(p, g).value) for p in design.held_out]
 
     evaluated = [(p, values[a]) for a, p in design.nodes] + held_out
     cheapest = sorted(range(len(evaluated)), key=lambda i: (evaluated[i][0].degree, i))
-    for i in cheapest[: max(spot_checks, 0)]:
+    for i in cheapest[:2]:
         point, value = evaluated[i]
         checked = oracle_count(point, g, budget=None).value
         if checked != value:

@@ -349,9 +349,9 @@ def test_selftest_mutated_normalization_fails(monkeypatch, capsys):
 def test_selftest_orthogonality_reads_the_keys(monkeypatch):
     # one-part columns with their values moved to the next key keep every
     # sum of squares, so only the cross-column sums can see the fault
-    from hurwitzlab import cli
+    from hurwitzlab import cli, hurwitz
 
-    real = cli.character_column
+    real = hurwitz.character_column
 
     def shifted(mu):
         column = real(mu)
@@ -360,14 +360,104 @@ def test_selftest_orthogonality_reads_the_keys(monkeypatch):
         keys = sorted(column)
         return {key: column[moved] for key, moved in zip(keys, keys[1:] + keys[:1])}
 
-    assert cli._check_orthogonality().ok
-    monkeypatch.setattr(cli, "character_column", shifted)
-    check = cli._check_orthogonality()
-    assert not check.ok
-    assert check.detail == "sum chi(mu) chi(nu) on classes (3), (2,1) is 2, expected 0"
+    assert cli._check_orthogonality()[0]
+    monkeypatch.setattr(hurwitz, "character_column", shifted)
+    ok, detail = cli._check_orthogonality()
+    assert not ok
+    assert detail == "sum chi(mu) chi(nu) on classes (3), (2,1) is 2, expected 0"
 
 
 # -- in-process contract details ---------------------------------------------------
+
+
+def _without_elapsed(raw: str) -> str:
+    """The payload with every elapsed_seconds removed, re-serialized in its
+    own key order, so that a comparison pins the order too."""
+
+    def scrub(value):
+        if isinstance(value, dict):
+            return {k: scrub(v) for k, v in value.items() if k != "elapsed_seconds"}
+        return value
+
+    return json.dumps(scrub(json.loads(raw)), separators=(",", ":"))
+
+
+_FROBENIUS_STATS = '{"tuples_examined":null,"tuples_accepted":null}'
+_ORACLE_STATS = '{"tuples_examined":33,"tuples_accepted":9}'
+_HIT_NOTICE = "cache hit for g=0;pos=3,1;neg=-2,-2\n"
+_COMPUTE_PAYLOADS = [
+    # a miss, a hit and a verified hit on one cache file, then both methods
+    (
+        ("--cache", "cache.jsonl"),
+        f'{{"value":"6","g":0,"r":2,"method":"frobenius","stats":{_FROBENIUS_STATS}}}',
+        "",
+    ),
+    (
+        ("--cache", "cache.jsonl"),
+        '{"value":"6","g":0,"r":2,"method":"frobenius",'
+        f'"stats":{_FROBENIUS_STATS},"cached":true}}',
+        _HIT_NOTICE,
+    ),
+    (
+        ("--cache", "cache.jsonl", "--verify"),
+        f'{{"value":"6","g":0,"r":2,"method":"frobenius","stats":{_FROBENIUS_STATS}}}',
+        "",
+    ),
+    (
+        ("--method", "both", "--no-cache"),
+        '{"value":"6","g":0,"r":2,"method":"both",'
+        f'"stats":{{"oracle":{_ORACLE_STATS},"frobenius":{_FROBENIUS_STATS}}}}}',
+        "",
+    ),
+    (
+        ("--method", "oracle", "--no-cache"),
+        f'{{"value":"6","g":0,"r":2,"method":"oracle","stats":{_ORACLE_STATS}}}',
+        "",
+    ),
+]
+
+
+def test_compute_payloads_are_pinned(tmp_path, monkeypatch, capsys):
+    from hurwitzlab import cli
+
+    monkeypatch.chdir(tmp_path)
+    for extra, payload, notice in _COMPUTE_PAYLOADS:
+        argv = ["compute", "-g", "0", "-x", "3,1,-2,-2", "--json", *extra]
+        assert cli.main(argv) == 0, extra
+        out, err = capsys.readouterr()
+        assert (_without_elapsed(out), err) == (payload, notice), extra
+    # the record is appended on the miss only
+    (line,) = (tmp_path / "cache.jsonl").read_text().splitlines()
+    record = json.loads(line)
+    assert list(record) == ["key", "value", "method", "version", "timestamp"]
+    assert record["key"] == "g=0;pos=3,1;neg=-2,-2"
+    assert (record["value"], record["method"]) == ("6", "frobenius")
+
+
+_SELFTEST_CHECKS = [
+    ("crossing sign identities", "435 cases up to r=30; failures: []"),
+    ("oracle vs character sum", "320 profile/genus cases agree exactly (d <= 4, n <= 4)"),
+    (
+        "documented example values",
+        "H_0(7,1,-2,-3,-3)=294 and H_0(9,4,-5,-5,-3)=540 by both methods",
+    ),
+    ("relabeling symmetry", "42 relabeled evaluations invariant"),
+    ("character column orthogonality", "all pairs of classes up to d=8"),
+    ("interpolation round trip", "random polynomials recovered exactly"),
+]
+
+
+def test_selftest_checks_are_pinned(capsys):
+    from hurwitzlab import cli
+
+    assert cli.main(["selftest", "--json"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert [(c["name"], c["detail"]) for c in payload["checks"]] == _SELFTEST_CHECKS
+    assert all(c["ok"] is True for c in payload["checks"])
+    assert list(payload["checks"][0]) == ["name", "ok", "detail"]
+    assert err.splitlines() == [f"[ok] {name}: {detail}" for name, detail in _SELFTEST_CHECKS]
 
 
 def test_fit_oversample_flag_controls_validation_size():

@@ -225,6 +225,42 @@ def test_connected_second_example_value():
     assert frobenius_connected(_profile(9, 4, -5, -5, -3), 0).value == 540
 
 
+def _partitions_with_at_most(d: int, parts: int, cap: int | None = None):
+    """Partitions of d into at most `parts` parts, each at most `cap`."""
+    if d == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(d, cap or d), 0, -1):
+        for rest in _partitions_with_at_most(d - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def test_connected_genus_zero_matches_hurwitz_formula():
+    """Hurwitz's genus-0 formula for covers simply ramified over infinity, as
+    proved in Goulden and Jackson, "Transitive factorizations into
+    transpositions and holomorphic mappings on the sphere" (1997).  In this
+    package's labelled normalization it reads
+    H_0(alpha, -1^d) = (d+l-2)! d^(l-3) d! prod alpha_i^alpha_i / alpha_i!,
+    with l the number of parts of alpha."""
+    cases = 0
+    for d in range(1, 9):
+        for alpha in _partitions_with_at_most(d, 4):
+            if len(alpha) + d < 3:
+                continue  # the formula is stated for n >= 3
+            ell = len(alpha)
+            expected = (
+                math.factorial(d + ell - 2) * Fraction(d) ** (ell - 3) * math.factorial(d)
+            )
+            for a in alpha:
+                expected *= Fraction(a**a, math.factorial(a))
+            profile = RamificationProfile(alpha + (-1,) * d)
+            assert frobenius_connected(profile, 0).value == expected, alpha
+            cases += 1
+    assert cases == 51
+
+
 def test_degenerate_degree_one_positive_r():
     # d = 1 with extra branch points supports no cover
     assert oracle_count(_profile(1, -1), 1).value == 0

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,24 +98,32 @@ def test_fit_validates_on_held_out_points():
         assert fit.polynomial.evaluate(point.x) == value
 
 
-def test_fit_rejects_non_polynomial_values():
-    # an evaluator returning the degree is not constant on the n=3 chamber
+def _fake_counts(monkeypatch, count, oracle_agrees: bool) -> None:
+    """Replace the fit's character route by `count`, and the oracle of its
+    spot checks too when `oracle_agrees`, so that the fake passes them."""
+
+    def fake(p: RamificationProfile, g: int, **_) -> SimpleNamespace:
+        return SimpleNamespace(value=count(p, g))
+
+    monkeypatch.setattr(piecewise, "frobenius_connected", fake)
+    if oracle_agrees:
+        monkeypatch.setattr(piecewise, "oracle_count", fake)
+
+
+def test_fit_rejects_non_polynomial_values(monkeypatch):
+    # a count returning the degree is not constant on the n=3 chamber
+    _fake_counts(monkeypatch, lambda p, g: Fraction(p.degree), oracle_agrees=True)
     with pytest.raises(NotPolynomialError):
-        fit_chamber(
-            _witness(2, 1, -3),
-            0,
-            evaluator=lambda p, g: Fraction(p.degree),
-            spot_checks=0,
-        )
+        fit_chamber(_witness(2, 1, -3), 0)
 
 
-def test_fit_spot_check_catches_a_lying_evaluator():
-    witness = _witness(2, 1, -3)
+def test_fit_spot_check_catches_a_lying_evaluator(monkeypatch):
+    _fake_counts(monkeypatch, lambda p, g: Fraction(7), oracle_agrees=False)
     with pytest.raises(AssertionError):
-        fit_chamber(witness, 0, evaluator=lambda p, g: Fraction(7), spot_checks=2)
+        fit_chamber(_witness(2, 1, -3), 0)
 
 
-def test_fit_spot_checks_the_base_point_first():
+def test_fit_spot_checks_the_base_point_first(monkeypatch):
     witness = _witness(7, 1, -2, -3, -3)
     base = chamber_nodes(witness, 2, 5).base
 
@@ -121,12 +131,13 @@ def test_fit_spot_checks_the_base_point_first():
         value = frobenius_connected(p, g).value
         return value + 1 if p == base else value
 
-    with pytest.raises(AssertionError, match="disagrees with the oracle"):
-        fit_chamber(witness, 0, evaluator=lies_at_base, spot_checks=1)
+    _fake_counts(monkeypatch, lies_at_base, oracle_agrees=False)
+    with pytest.raises(AssertionError, match=re.escape(f"disagrees with the oracle at {base}")):
+        fit_chamber(witness, 0)
 
 
 @pytest.mark.parametrize(
-    "g, evaluator",
+    "g, count",
     [
         # below the window: g=0, n=4 allows degree 1 only
         (0, lambda p, g: Fraction(5)),
@@ -135,10 +146,11 @@ def test_fit_spot_checks_the_base_point_first():
     ],
     ids=["constant", "even-degree"],
 )
-def test_fit_rejects_terms_outside_the_degree_window(g, evaluator):
-    # both evaluators are polynomial, so held-out validation passes
+def test_fit_rejects_terms_outside_the_degree_window(monkeypatch, g, count):
+    # both counts are polynomial, so held-out validation passes
+    _fake_counts(monkeypatch, count, oracle_agrees=True)
     with pytest.raises(NotPolynomialError, match="window"):
-        fit_chamber(_witness(3, 1, -2, -2), g, evaluator=evaluator, spot_checks=0)
+        fit_chamber(_witness(3, 1, -2, -2), g)
 
 
 # Recorded once from the Gauss-Jordan fit on sampled nodes that this
