@@ -24,6 +24,8 @@ from .errors import (
 from .exact import MultiPoly, compositions, lattice_point, monomials_up_to_degree
 from .hurwitz import RamificationProfile
 
+DEFAULT_NODE_BUDGET = 100_000
+
 
 @dataclass(frozen=True)
 class Wall:
@@ -239,7 +241,7 @@ class ChamberNodes:
 
 
 def chamber_nodes(
-    witness: ChamberWitness, degree: int, held_out: int, budget: int = 100_000
+    witness: ChamberWitness, degree: int, held_out: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> ChamberNodes:
     """The nodes for a fit of the given degree in the witness's chamber.
 

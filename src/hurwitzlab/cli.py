@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .chambers import ChamberWitness, Wall, adjacent_chamber
+from .chambers import DEFAULT_NODE_BUDGET, ChamberWitness, Wall, adjacent_chamber
 from .errors import HurwitzlabError, InvalidProfileError
 from .exact import (
     MultiPoly,
@@ -31,6 +31,7 @@ from .exact import (
     poly_divmod,
 )
 from .hurwitz import (
+    DEFAULT_ORACLE_BUDGET,
     EnumerationStats,
     HurwitzResult,
     RamificationProfile,
@@ -42,10 +43,11 @@ from .hurwitz import (
     simple_branch_count,
 )
 from .identities import verify_identities
-from .piecewise import fit_chamber, product_formula_report, wall_crossing
+from .piecewise import DEFAULT_OVERSAMPLE, fit_chamber, product_formula_report, wall_crossing
 from .symgroup import partitions_of, z_lambda
 
 DEFAULT_CACHE_PATH = "./hurwitz-cache.jsonl"
+DEFAULT_R_MAX = 30
 
 _EXIT_CODES = {
     "INVALID_PROFILE": 2,
@@ -155,11 +157,14 @@ def _resolve_cache_path(args) -> str | None:
 
 
 def _cached_value(record: dict, profile: RamificationProfile, r: int) -> Fraction | None:
-    """The record's value if it parses and passes the count invariants, else None
-    after a notice: a damaged record is never served."""
+    """The record's value if it is str(v) of a Fraction v, as ``cache_append``
+    writes it, and v passes the count invariants, else None after a notice: a
+    damaged record, a JSON number or a value spelled "12.0" is never served."""
     try:
-        value = Fraction(record["value"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        value = Fraction(record.get("value"))
+        if str(value) != record["value"]:
+            raise ValueError("not the string cache_append writes")
+    except (TypeError, ValueError, ZeroDivisionError):
         _notice(f"ignoring cache record for {record['key']}: unparsable value")
         return None
     violation = invariant_violation(profile, r, value)
@@ -389,7 +394,7 @@ def _check_interpolation_roundtrip() -> tuple[bool, str]:
     return True, "random polynomials recovered exactly"
 
 
-def run_selftest(r_max: int = 30) -> tuple[bool, list[CheckResult]]:
+def run_selftest(r_max: int = DEFAULT_R_MAX) -> tuple[bool, list[CheckResult]]:
     checks = (
         ("crossing sign identities", lambda: _check_identities(r_max)),
         ("oracle vs character sum", _check_grid),
@@ -454,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--budget",
         type=int,
-        default=10**9,
+        default=DEFAULT_ORACLE_BUDGET,
         help="largest oracle tuple space C(d,2)^r allowed (it bounds the size, not the work)",
     )
     compute.add_argument("--cache", help="cache file path (JSON lines)")
@@ -472,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oversample",
             type=int,
-            default=5,
+            default=DEFAULT_OVERSAMPLE,
             help="held-out validation points beyond the monomial count",
         )
-        p.add_argument("--budget", type=int, default=100_000, help="node search budget")
+        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node search budget")
 
     fit = sub.add_parser("fit", help="fit the chamber polynomial at a witness")
     add_common(fit)
@@ -497,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="run the built-in verification suite")
     add_common(selftest, needs_profile=False)
     selftest.add_argument(
-        "--r-max", type=int, default=30, help="identity check range"
+        "--r-max", type=int, default=DEFAULT_R_MAX, help="identity check range"
     )
     selftest.set_defaults(func=cmd_selftest)
 

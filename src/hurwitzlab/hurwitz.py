@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -278,7 +278,9 @@ def oracle_count(
     stats report as examined every tuple a depth-first enumeration with the
     same cycle-count prune would reach, so they match one.  The budget
     bounds the size C(d,2)^r of the tuple space, as that enumeration's cost
-    did; None leaves it unbounded.  The class-size factor cancels into the labeled normalization, giving
+    did; None leaves it unbounded.  The recursion is r calls deep, so an r
+    past the Python stack raises BudgetExceededError too.  The class-size
+    factor cancels into the labeled normalization, giving
 
         H = prod_k m_k(beta)! * accepted / prod_k k^{m_k(alpha)}.
 
@@ -293,7 +295,10 @@ def oracle_count(
         )
     alpha, beta = profile.alpha(), profile.beta()
     started = time.perf_counter()
-    examined, accepted = _count_tuples(alpha, beta, r)
+    try:
+        examined, accepted = _count_tuples(alpha, beta, r)
+    except RecursionError:
+        raise BudgetExceededError(f"cut-and-join depth r = {r} exceeds the stack") from None
     labels = math.prod(map(math.factorial, beta.multiplicities().values()))
     value = Fraction(labels * accepted, math.prod(alpha.parts))
     stats = EnumerationStats(
@@ -342,16 +347,17 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> int:
     return total
 
 
-def _block_key(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    pos = tuple(sorted((v for v in values if v > 0), reverse=True))
-    neg = tuple(sorted((-v for v in values if v < 0), reverse=True))
-    return pos, neg
+def _sides(values: tuple[int, ...]) -> tuple[Partition, Partition]:
+    """The cycle types over 0 and over infinity of decreasing parts."""
+    return Partition(tuple(v for v in values if v > 0)), Partition(
+        tuple(-v for v in reversed(values) if v < 0)
+    )
 
 
 @lru_cache(maxsize=None)
-def _connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> int:
+def _connected_value(values: tuple[int, ...], r: int) -> int:
     """W times the connected labeled count for the profile with the given
-    part multisets (each sorted decreasing), W the product of all parts.
+    parts, sorted decreasing, W the product of their absolute values.
 
     A disconnected cover splits the labeled marked points S into balanced
     blocks, one per component, and its r branch points among them.  Fixing
@@ -365,29 +371,28 @@ def _connected_value(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> int:
     r_B >= |B| - 2 and r_B == |B| (mod 2).  The B = S term is C(S, r); the
     rest are subtracted, with D taken straight from the character sum.  The
     code works with the counts themselves, so each term carries binom(r, r_B).
+    The terms depend on B only through its part multiset, so the loop picks
+    k_v of the m_v other parts equal to v, once per multiset, and weights the
+    term by prod_v binom(m_v, k_v), the number of labeled blocks it stands for.
     W is multiplicative over the blocks and W times the labeled disconnected
     count is the integer character sum S of ``frobenius_disconnected``, so
     the recursion runs on W times the counts, all integers.
     """
-    values = pos + tuple(-v for v in neg)
-    first, others = values[0], values[1:]
-    value = frobenius_disconnected(Partition(pos), Partition(neg), r)
-    for size in range(1, len(others)):
-        for chosen in itertools.combinations(range(len(others)), size):
-            block = (first,) + tuple(others[i] for i in chosen)
-            if sum(block) != 0:
-                continue
-            block_pos, block_neg = _block_key(block)
-            rest_pos, rest_neg = _block_key(
-                [v for i, v in enumerate(others) if i not in chosen]
+    parts, ms = zip(*((v, len(list(run))) for v, run in itertools.groupby(values[1:])))
+    value = frobenius_disconnected(*_sides(values), r)
+    for ks in itertools.product(*(range(m + 1) for m in ms)):
+        if values[0] + sum(map(operator.mul, parts, ks)) or ks == ms:
+            continue
+        block = values[:1] + tuple(v for v, k in zip(parts, ks) for _ in range(k))
+        rest = _sides(tuple(v for v, k, m in zip(parts, ks, ms) for _ in range(m - k)))
+        weight = math.prod(map(math.comb, ms, ks))
+        for rb in range(len(block) - 2, r + 1, 2):
+            value -= (
+                weight
+                * math.comb(r, rb)
+                * _connected_value(block, rb)
+                * frobenius_disconnected(*rest, r - rb)
             )
-            rest_alpha, rest_beta = Partition(rest_pos), Partition(rest_neg)
-            for rb in range(len(block) - 2, r + 1, 2):
-                value -= (
-                    math.comb(r, rb)
-                    * _connected_value(block_pos, block_neg, rb)
-                    * frobenius_disconnected(rest_alpha, rest_beta, r - rb)
-                )
     return value
 
 
@@ -395,14 +400,14 @@ def frobenius_connected(profile: RamificationProfile, g: int) -> HurwitzResult:
     """Connected count via the character sum plus inclusion-exclusion.
 
     Independent of the oracle except for sharing the profile bookkeeping;
-    sub-profile counts are memoized on (positive parts, negative parts, r).
+    sub-profile counts are memoized on (parts sorted decreasing, r).
     The recursion yields W times the count, W the product of all parts, in
     integers; the one division is here.
     """
     r = simple_branch_count(g, profile.n)
     started = time.perf_counter()
-    pos, neg = _block_key(profile.x)
-    value = Fraction(_connected_value(pos, neg, r), math.prod(pos) * math.prod(neg))
+    parts = tuple(sorted(profile.x, reverse=True))
+    value = Fraction(_connected_value(parts, r), math.prod(map(abs, parts)))
     stats = EnumerationStats(
         tuples_examined=None,
         tuples_accepted=None,

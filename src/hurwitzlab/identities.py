@@ -39,8 +39,6 @@ def beta_integral_exact(r1: int, r2: int) -> Fraction:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    name: str
-    r_max: int
     cases: int
     failures: tuple[str, ...]
 
@@ -73,9 +71,4 @@ def verify_identities(r_max: int) -> IdentityReport:
                 failures.append(
                     f"beta_integral_exact({r1},{r2}) = {got_beta}, expected {expected}"
                 )
-    return IdentityReport(
-        name="crossing sign identities",
-        r_max=r_max,
-        cases=cases,
-        failures=tuple(failures),
-    )
+    return IdentityReport(cases=cases, failures=tuple(failures))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chambers import ChamberWitness, Wall, chamber_nodes
+from .chambers import DEFAULT_NODE_BUDGET, ChamberWitness, Wall, chamber_nodes
 from .errors import (
     BlockUnbalancedError,
     NotAdjacentError,
@@ -30,6 +30,8 @@ from .hurwitz import (
     oracle_count,
     simple_branch_count,
 )
+
+DEFAULT_OVERSAMPLE = 5
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,9 @@ class WallCrossing:
 def fit_chamber(
     witness: ChamberWitness,
     g: int,
-    oversample: int = 5,
+    oversample: int = DEFAULT_OVERSAMPLE,
     *,
-    sampling_budget: int = 100_000,
+    sampling_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ChamberPolynomial:
     """Fit the chamber polynomial at the witness's chamber.
 

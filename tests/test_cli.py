@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,6 +82,40 @@ def test_compute_budget_exceeded():
     assert _stderr_json(proc)["error"] == "BUDGET_EXCEEDED"
 
 
+def test_compute_oracle_depth_past_the_stack_is_a_budget_error(capsys):
+    # at d = 2 the tuple space C(2,2)^r = 1 passes any budget, but the
+    # cut-and-join recursion is r = 2g calls deep
+    from hurwitzlab import cli
+
+    def compute(g: int, method: str) -> tuple[int, str, str]:
+        argv = ["compute", "-g", str(g), "-x", "2,-2", "--no-cache", "--json"]
+        code = cli.main(argv + ["--method", method])
+        return (code, *capsys.readouterr())
+
+    code, out, err = compute(400, "oracle")
+    assert (code, json.loads(out)["value"], err) == (0, "1/2", "")
+    code, out, err = compute(500, "oracle")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "BUDGET_EXCEEDED",
+        "detail": "cut-and-join depth r = 1000 exceeds the stack",
+    }
+    code, out, err = compute(500, "frobenius")
+    assert (code, json.loads(out)["value"], err) == (0, "1/2", "")
+
+
+def test_compute_reaches_fourteen_simple_points_on_each_side(capsys):
+    # Hurwitz's genus-0 formula at (1^14, -1^14): (2d-2)! d^(d-3) d!, d = 14
+    from hurwitzlab import cli
+
+    profile = ",".join(["1"] * 14 + ["-1"] * 14)
+    argv = ["compute", "-g", "0", f"--profile={profile}", "--no-cache", "--json"]
+    assert cli.main(argv) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == "142375666889904451297147822159994322891571200000000"
+    assert int(value) == math.factorial(26) * 14**11 * math.factorial(14)
+
+
 def test_compute_fractional_value():
     proc = _run("compute", "-g", "0", "-x", "2,-2", "--no-cache")
     assert proc.returncode == 0
@@ -152,6 +187,36 @@ def test_cache_damaged_record_is_recomputed(tmp_path, bad_value):
     assert payload["value"] == "1"
     assert "cached" not in payload
     assert f"ignoring cache record for g=0;pos=2;neg=-1,-1: {reason}" in proc.stderr
+
+
+# JSON values that cache_append never writes: a boolean, a number, and a
+# string that parses but is not str() of its Fraction
+@pytest.mark.parametrize(
+    "x, key, stored, count",
+    [
+        ("3,-1,-1,-1", "g=0;pos=3;neg=-1,-1,-1", True, "6"),
+        ("2,1,-1,-1,-1", "g=0;pos=2,1;neg=-1,-1,-1", 12.0, "24"),
+        ("2,1,-1,-1,-1", "g=0;pos=2,1;neg=-1,-1,-1", "12.0", "24"),
+    ],
+    ids=["true", "number", "decimal-string"],
+)
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["lookup", "verify"])
+def test_cache_serves_only_the_strings_it_writes(
+    tmp_path, capsys, x, key, stored, count, verify
+):
+    from hurwitzlab import cli
+
+    cache = tmp_path / "cache.jsonl"
+    record = {"key": key, "value": stored, "method": "frobenius"}
+    cache.write_text(json.dumps(record) + "\n")
+    argv = ["compute", "-g", "0", f"--profile={x}", "--cache", str(cache), "--json"]
+    assert cli.main(argv + list(verify)) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert (payload["value"], "cached" in payload) == (count, False)
+    assert err == f"ignoring cache record for {key}: unparsable value\n"
+    # recomputed and appended, so the next lookup is served the count
+    assert json.loads(cache.read_text().splitlines()[-1])["value"] == count
 
 
 def test_cache_skips_lines_that_are_not_records(tmp_path):
