@@ -52,6 +52,8 @@ class Wall:
         chosen = tuple(sorted(set(indices)))
         if not chosen or len(chosen) >= n:
             raise ValueError(f"not a proper nonempty subset of 1..{n}: {indices}")
+        if chosen[0] < 1 or chosen[-1] > n:
+            raise ValueError(f"wall indices out of range 1..{n}: {chosen}")
         if 1 in chosen:
             chosen = tuple(i for i in range(1, n + 1) if i not in chosen)
         return cls(chosen, n)

@@ -516,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except HurwitzlabError as err:
         return _emit_error(err)
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # OSError: the cache file
         return _emit_error(err, code="INVALID_ARGUMENT")
 
 

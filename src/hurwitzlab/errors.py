@@ -38,7 +38,7 @@ class NegativeBranchCountError(HurwitzlabError):
 
 
 class BudgetExceededError(HurwitzlabError):
-    """The oracle's tuple space C(d,2)^r, or its depth r, exceeds its budget."""
+    """The oracle's tuple space C(d,2)^r exceeds its budget."""
 
     code = "BUDGET_EXCEEDED"
 

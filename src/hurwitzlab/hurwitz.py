@@ -4,7 +4,7 @@
 permutation of the cycle type over 0, multiply to the cycle type over
 infinity and generate a transitive group; its correctness is elementary, so
 it serves as the ground truth.  It counts them by cut-and-join
-(Goulden-Jackson): a recursion over the conjugacy classes of (running
+(Goulden-Jackson): one forward pass over the conjugacy classes of (running
 product, orbits of the group generated so far), in which each factor cuts one
 cycle of the product or joins two.  It shares no code with the character
 route.
@@ -220,8 +220,9 @@ def _count_tuples(alpha: Partition, beta: Partition, r: int) -> tuple[int, int]:
     of (g pi g^-1, g(orbits)), keeping cycle counts, cycle types and
     transitivity.  So the completions depend only on the conjugacy class of
     the pair, which is the sorted tuple over the orbits of the sorted lengths
-    of the pi-cycles in each.  The recursion runs on these classes, memoized
-    for this call, and steps by the cut and join classes of ``_moves``.
+    of the pi-cycles in each.  The pass walks these classes one factor at a
+    time, holding one layer, the count of prefixes tau_1..tau_j per class
+    they reach, and stepping it by the cut and join classes of ``_moves``.
 
     Each factor changes the cycle count by exactly +-1, so a step is pruned
     as soon as the remaining factors cannot reach the cycle count of beta
@@ -233,28 +234,19 @@ def _count_tuples(alpha: Partition, beta: Partition, r: int) -> tuple[int, int]:
     """
     target_type = tuple(sorted(beta.parts))
     target = len(target_type)
-    memo: dict[tuple[OrbitCycles, int], tuple[int, int]] = {}
-
-    def count(state: OrbitCycles, rem: int) -> tuple[int, int]:
-        if rem == 0:
-            return 1, int(len(state) == 1 and state[0] == target_type)
-        key = (state, rem)
-        if key in memo:
-            return memo[key]
-        cycles = sum(map(len, state))
-        examined = accepted = 0
-        for delta in (1, -1):
-            gap = abs(cycles + delta - target)
-            if gap > rem - 1 or (gap + rem - 1) % 2:
-                continue
-            for child, weight in _moves(state, delta).items():
-                leaves, hits = count(child, rem - 1)
-                examined += weight * leaves
-                accepted += weight * hits
-        memo[key] = examined, accepted
-        return examined, accepted
-
-    return count(tuple(sorted((part,) for part in alpha.parts)), r)
+    layer = {tuple(sorted((part,) for part in alpha.parts)): 1}
+    for rem in range(r - 1, -1, -1):
+        following: dict[OrbitCycles, int] = {}
+        for state, ways in layer.items():
+            cycles = sum(map(len, state))
+            for delta in (1, -1):
+                gap = abs(cycles + delta - target)
+                if gap > rem or (gap + rem) % 2:
+                    continue
+                for child, weight in _moves(state, delta).items():
+                    following[child] = following.get(child, 0) + ways * weight
+        layer = following
+    return sum(layer.values()), layer.get((target_type,), 0)
 
 
 def enumeration_size(d: int, r: int) -> int:
@@ -278,9 +270,8 @@ def oracle_count(
     stats report as examined every tuple a depth-first enumeration with the
     same cycle-count prune would reach, so they match one.  The budget
     bounds the size C(d,2)^r of the tuple space, as that enumeration's cost
-    did; None leaves it unbounded.  The recursion is r calls deep, so an r
-    past the Python stack raises BudgetExceededError too.  The class-size
-    factor cancels into the labeled normalization, giving
+    did; None leaves it unbounded.  The class-size factor cancels into the
+    labeled normalization, giving
 
         H = prod_k m_k(beta)! * accepted / prod_k k^{m_k(alpha)}.
 
@@ -295,10 +286,7 @@ def oracle_count(
         )
     alpha, beta = profile.alpha(), profile.beta()
     started = time.perf_counter()
-    try:
-        examined, accepted = _count_tuples(alpha, beta, r)
-    except RecursionError:
-        raise BudgetExceededError(f"cut-and-join depth r = {r} exceeds the stack") from None
+    examined, accepted = _count_tuples(alpha, beta, r)
     labels = math.prod(map(math.factorial, beta.multiplicities().values()))
     value = Fraction(labels * accepted, math.prod(alpha.parts))
     stats = EnumerationStats(

@@ -60,6 +60,13 @@ def test_wall_rejects_improper_subsets():
         Wall((2, 7), 5)
 
 
+@pytest.mark.parametrize("indices", [(1, 6), (1, 0), (1, -3)])
+def test_wall_canonical_checks_the_range_before_complementing(indices):
+    # complementing first would drop the stray index and return [2,3,4,5]
+    with pytest.raises(ValueError, match=r"out of range 1\.\.5"):
+        Wall.canonical(indices, 5)
+
+
 def test_wall_form_is_the_subset_sum():
     wall = Wall.canonical((2, 5), 5)
     for point in ((9, 4, -5, -5, -3), (7, 1, -2, -3, -3)):

@@ -82,26 +82,16 @@ def test_compute_budget_exceeded():
     assert _stderr_json(proc)["error"] == "BUDGET_EXCEEDED"
 
 
-def test_compute_oracle_depth_past_the_stack_is_a_budget_error(capsys):
-    # at d = 2 the tuple space C(2,2)^r = 1 passes any budget, but the
-    # cut-and-join recursion is r = 2g calls deep
+def test_compute_oracle_walks_deep_trivial_counts(capsys):
+    # at d = 2 the class walk holds one class per factor, and a walk of
+    # r = 2g factors has no depth limit
     from hurwitzlab import cli
 
-    def compute(g: int, method: str) -> tuple[int, str, str]:
+    for g, method in ((500, "oracle"), (5000, "oracle"), (500, "frobenius")):
         argv = ["compute", "-g", str(g), "-x", "2,-2", "--no-cache", "--json"]
         code = cli.main(argv + ["--method", method])
-        return (code, *capsys.readouterr())
-
-    code, out, err = compute(400, "oracle")
-    assert (code, json.loads(out)["value"], err) == (0, "1/2", "")
-    code, out, err = compute(500, "oracle")
-    assert (code, out) == (3, "")
-    assert json.loads(err) == {
-        "error": "BUDGET_EXCEEDED",
-        "detail": "cut-and-join depth r = 1000 exceeds the stack",
-    }
-    code, out, err = compute(500, "frobenius")
-    assert (code, json.loads(out)["value"], err) == (0, "1/2", "")
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["value"], err) == (0, "1/2", "")
 
 
 def test_compute_reaches_fourteen_simple_points_on_each_side(capsys):
@@ -161,6 +151,16 @@ def test_cache_round_trip(tmp_path):
     assert verified.returncode == 0
     assert _stdout_json(verified)["value"] == "294"
     assert _stdout_json(verified).get("cached") is None
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_cache_path_that_cannot_be_opened_exits_2(tmp_path, where):
+    # a directory fails on lookup, a missing parent on the append after the count
+    cache = tmp_path if where == "directory" else tmp_path / "absent" / "c.jsonl"
+    proc = _run("compute", "-g", "0", "-x", "3,-1,-2", "--cache", str(cache))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert _stderr_json(proc)["error"] == "INVALID_ARGUMENT"
 
 
 def test_cache_verify_appends_only_on_miss(tmp_path):
@@ -346,13 +346,22 @@ def test_wallcross_normalizes_complement_input():
         ("wallcross", "--wall", "9"),
         ("wallcross", "--wall", "2,x"),
         ("fit", "--oversample", "0"),
+        ("wallcross", "--wall", "1,6"),
+        ("wallcross", "--wall", "1,0"),
     ],
-    ids=["wallcross-wall", "wallcross-wall-text", "fit-oversample"],
+    ids=[
+        "wallcross-wall",
+        "wallcross-wall-text",
+        "fit-oversample",
+        "wallcross-wall-1-6",
+        "wallcross-wall-1-0",
+    ],
 )
 def test_invalid_argument_exits_2(args):
     proc = _run(args[0], "-g", "0", "-x", "7,1,-2,-3,-3", *args[1:])
     assert proc.returncode == 2
     assert _stderr_json(proc)["error"] == "INVALID_ARGUMENT"
+    assert "normalized wall" not in proc.stderr
 
 
 def test_wallcross_adjacency_not_found():

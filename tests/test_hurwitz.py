@@ -173,6 +173,16 @@ def test_oracle_matches_characters_far_past_the_default_budget(entries, g):
     assert result.value == frobenius_connected(profile, g).value
 
 
+@pytest.mark.parametrize(
+    "entries, g", [((2, 1, -3), 300), ((3, -2, -1), 1000), ((2, 2, -1, -3), 200)]
+)
+def test_oracle_matches_characters_at_high_genus(entries, g):
+    # hundreds of factors: the class walk has no depth limit
+    profile = _profile(*entries)
+    by_oracle = oracle_count(profile, g, budget=None).value
+    assert by_oracle == frobenius_connected(profile, g).value
+
+
 def test_oracle_enumeration_on_first_example():
     assert oracle_tuples(_profile(7, 1, -2, -3, -3), 0) == (14749, 1029)
 

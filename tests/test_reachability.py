@@ -48,6 +48,8 @@ COMMANDS = [
     (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "2,x"), 2),
     (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "9"), 2),
     (("fit", "-g", "0", "-x", "7,1,-2,-3,-3", "--oversample", "0"), 2),
+    (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "1,6"), 2),
+    (("compute", "-g", "0", "-x", "2,-1,-1", "--cache", "."), 2),
 ]
 
 
