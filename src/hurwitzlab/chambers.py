@@ -62,11 +62,13 @@ class Wall:
         return tuple(i for i in range(1, self.n + 1) if i not in self.indices)
 
     def form(self) -> MultiPoly:
-        """The wall as a linear polynomial: the subset sum, in canonical form."""
-        total = MultiPoly.zero(self.n)
-        for i in self.indices:
-            total = total + MultiPoly.variable(self.n, i)
-        return total
+        """The wall as a linear polynomial: the subset sum, in canonical form.
+
+        With x_n = -(x_1 + ... + x_{n-1}), the coefficient of x_j is
+        [j in the wall] - [n in the wall]."""
+        last = self.n in self.indices
+        units = [tuple(int(i == j) for i in range(1, self.n)) for j in range(1, self.n)]
+        return MultiPoly(self.n, {u: (j in self.indices) - last for j, u in enumerate(units, 1)})
 
     def subset_sum(self, x) -> int:
         return sum(x[i - 1] for i in self.indices)

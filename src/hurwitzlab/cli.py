@@ -257,7 +257,10 @@ def cmd_wallcross(args) -> int:
         pretty = " + ".join(f"x{i}" for i in wall.indices)
         payload["factored"] = f"({pretty}) * ({quotient})"
 
-    if args.g == 0:
+    if args.g == 0 and len(wall.indices) in (1, wall.n - 1):
+        # one block is (x_i, -delta) up to sign, whose count 1/delta is unstable
+        _notice(f"no product formula on edge wall {wall}: one block has two parts")
+    elif args.g == 0:
         positive_side = (
             witness if wall.subset_sum(witness.point.x) > 0 else other
         )

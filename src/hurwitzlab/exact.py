@@ -57,7 +57,7 @@ class MultiPoly:
     ``n`` is the ambient number of variables; terms are keyed by exponent
     vectors of length ``n - 1`` (the free variables x_1..x_{n-1}).  Zero
     coefficients are never stored and terms are kept sorted graded-lex
-    descending, so equality and hashing are structural.
+    descending, so equality is structural.
     """
 
     __slots__ = ("n", "terms", "_over_lcm")
@@ -87,28 +87,6 @@ class MultiPoly:
         )
         self._over_lcm: tuple[int, list[tuple[Exponents, int]]] | None = None
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> MultiPoly:
-        return cls(n, {})
-
-    @classmethod
-    def variable(cls, n: int, index: int) -> MultiPoly:
-        """The canonical form of x_index (1-based); x_n expands to -(x_1+...+x_{n-1})."""
-        if not 1 <= index <= n:
-            raise ValueError(f"variable index {index} out of range 1..{n}")
-        if index < n:
-            exps = [0] * (n - 1)
-            exps[index - 1] = 1
-            return cls(n, {tuple(exps): Fraction(1)})
-        terms: dict[Exponents, Fraction] = {}
-        for i in range(n - 1):
-            exps = [0] * (n - 1)
-            exps[i] = 1
-            terms[tuple(exps)] = Fraction(-1)
-        return cls(n, terms)
-
     # -- structural protocol ----------------------------------------------
 
     @property
@@ -119,9 +97,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.terms))
 
     def __repr__(self) -> str:
         return f"MultiPoly(n={self.n}, {self!s})"
@@ -134,15 +109,6 @@ class MultiPoly:
                 f"polynomials live in different spaces: n={self.n} vs n={other.n}"
             )
 
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_same_space(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms:
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.n, acc)
-
     def __sub__(self, other: MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -151,27 +117,6 @@ class MultiPoly:
         for exps, coeff in other.terms:
             acc[exps] = acc.get(exps, Fraction(0)) - coeff
         return MultiPoly(self.n, acc)
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.n, {e: -c for e, c in self.terms})
-
-    def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.n, {e: c * other for e, c in self.terms})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_same_space(other)
-        acc: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                key = tuple(a + b for a, b in zip(ea, eb))
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return MultiPoly(self.n, acc)
-
-    def __rmul__(self, other: Fraction | int) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
 
     # -- evaluation ----------------------------------------------------------
 
@@ -233,10 +178,7 @@ def poly_divmod(p: MultiPoly, divisor: MultiPoly) -> tuple[MultiPoly, MultiPoly]
     Returns (quotient, remainder) with p == quotient * divisor + remainder and
     no remainder term divisible by the divisor's leading monomial.
     """
-    if p.n != divisor.n:
-        raise DimensionMismatchError(
-            f"polynomials live in different spaces: n={p.n} vs n={divisor.n}"
-        )
+    p._check_same_space(divisor)
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     lead_exps, lead_coeff = divisor.terms[0]

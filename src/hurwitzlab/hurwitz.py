@@ -126,6 +126,8 @@ class HurwitzResult:
 
 def simple_branch_count(g: int, n: int) -> int:
     """Number of simple branch points r = 2g - 2 + n."""
+    if not isinstance(g, int) or isinstance(g, bool):
+        raise InvalidProfileError(f"genus must be an integer, got {g!r}")
     if g < 0:
         raise InvalidProfileError(f"genus must be nonnegative, got {g}")
     r = 2 * g - 2 + n
@@ -324,6 +326,8 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> int:
     d = alpha.size
     if d < 1:
         raise ValueError("degree must be at least 1")
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"r must be an integer, got {r!r}")
     if r < 0:
         raise ValueError("r must be nonnegative")
     small, large = sorted((character_column(alpha), character_column(beta)), key=len)

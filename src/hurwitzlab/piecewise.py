@@ -4,10 +4,10 @@ The count is a polynomial of total degree at most 4g - 3 + n on each chamber;
 ``fit_chamber`` recovers that polynomial by Newton interpolation on an
 in-chamber lattice that determines it, and proves it on held-out points.
 ``wall_crossing`` is the difference of two adjacent chamber polynomials.  For
-genus 0 the crossing also factors through a two-block product formula whose
-binomial and sign bookkeeping is resolved empirically against the fitted
-crossing polynomial; the winning convention is recorded here and asserted by
-the test suite.
+genus 0 the crossing across an inner wall also factors through a two-block
+product formula; ``product_formula_report`` evaluates it under every
+candidate binomial and sign convention in ``CONVENTIONS``, so that each can be
+compared with the fitted crossing polynomial.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def fit_chamber(
         raise UnstableCaseError(
             "the two-part genus-0 count is 1/d and admits no polynomial fit"
         )
+    if not isinstance(oversample, int) or isinstance(oversample, bool):
+        raise ValueError(f"oversample must be an integer, got {oversample!r}")
     if oversample < 1:
         raise ValueError("oversample must be positive")
     degree_bound = 4 * g - 3 + n
@@ -165,38 +167,18 @@ def wall_crossing(
     )
 
 
-@dataclass(frozen=True)
-class CrossingConvention:
-    """One candidate bookkeeping for the genus-0 product formula.
-
-    value = sign * delta * C(top, pick) * H(I block) * H(complement block),
-    where top is r-1 or r and pick is r_1 or r_2.
-    """
-
-    name: str
-    sign: int
-    drop_one: bool  # top of the binomial is r-1 when True, r when False
-    pick_r1: bool  # choose r_1 when True, r_2 when False
-
-    def binomial(self, r: int, r1: int) -> int:
-        top = r - 1 if self.drop_one else r
-        pick = r1 if self.pick_r1 else r - r1
-        return math.comb(top, pick)
-
-
-CONVENTIONS: tuple[CrossingConvention, ...] = (
-    CrossingConvention("C(r-1,r1)", 1, True, True),
-    CrossingConvention("C(r,r1)", 1, False, True),
-    CrossingConvention("C(r-1,r2)", 1, True, False),
-    CrossingConvention("-C(r-1,r1)", -1, True, True),
-    CrossingConvention("-C(r,r1)", -1, False, True),
-    CrossingConvention("-C(r-1,r2)", -1, True, False),
-)
-
-# Resolved empirically against the fitted wall-crossing polynomial and then
-# pinned by the acceptance tests: only C(r,r1) with positive sign reproduces
-# the crossing value at every probed point.
-RECORDED_CONVENTION = CONVENTIONS[1]
+# name -> (sign, top of the binomial is r - 1 rather than r, pick is r_1
+# rather than r_2).  Resolved empirically against the fitted wall-crossing
+# polynomial and pinned by the acceptance tests: only C(r,r1) with positive
+# sign reproduces the crossing value at every probed point.
+CONVENTIONS: dict[str, tuple[int, bool, bool]] = {
+    "C(r-1,r1)": (1, True, True),
+    "C(r,r1)": (1, False, True),
+    "C(r-1,r2)": (1, True, False),
+    "-C(r-1,r1)": (-1, True, True),
+    "-C(r,r1)": (-1, False, True),
+    "-C(r-1,r2)": (-1, True, False),
+}
 
 
 def crossing_blocks(
@@ -222,18 +204,15 @@ def crossing_blocks(
     return RamificationProfile(block_i), RamificationProfile(block_c), delta
 
 
-def product_formula_wc(
-    wall: Wall, x: RamificationProfile, convention: CrossingConvention
-) -> Fraction:
-    """Evaluate one candidate genus-0 product formula for the crossing at x."""
+def product_formula_report(wall: Wall, x: RamificationProfile) -> dict[str, Fraction]:
+    """Every candidate convention's value of the genus-0 crossing at x, keyed
+    by convention name: sign * delta * C(top, pick) * H(I block) *
+    H(complement block), with top r - 1 or r and pick r_1 or r_2 = r - r_1."""
     block_i, block_c, delta = crossing_blocks(wall, x)
     r = simple_branch_count(0, x.n)
     r1 = simple_branch_count(0, block_i.n)
-    h1 = frobenius_connected(block_i, 0).value
-    h2 = frobenius_connected(block_c, 0).value
-    return convention.sign * delta * convention.binomial(r, r1) * h1 * h2
-
-
-def product_formula_report(wall: Wall, x: RamificationProfile) -> dict[str, Fraction]:
-    """Every candidate convention's value at x, keyed by convention name."""
-    return {conv.name: product_formula_wc(wall, x, conv) for conv in CONVENTIONS}
+    blocks = delta * frobenius_connected(block_i, 0).value * frobenius_connected(block_c, 0).value
+    return {
+        name: sign * math.comb(r - 1 if drop_one else r, r1 if pick_r1 else r - r1) * blocks
+        for name, (sign, drop_one, pick_r1) in CONVENTIONS.items()
+    }

@@ -36,9 +36,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def multiplicities(self) -> dict[int, int]:
         return dict(Counter(self.parts))
 

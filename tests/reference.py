@@ -137,6 +137,17 @@ def raw_terms_poly(n: int, raw: Mapping[Exponents, Fraction | int]) -> MultiPoly
     return MultiPoly(n, acc)
 
 
+def poly_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The product of two polynomials in one space, term by term."""
+    assert a.n == b.n
+    acc: dict[Exponents, Fraction] = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            key = tuple(x + y for x, y in zip(ea, eb))
+            acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    return MultiPoly(a.n, acc)
+
+
 def term_map(poly: MultiPoly) -> dict[Exponents, Fraction]:
     return dict(poly.terms)
 

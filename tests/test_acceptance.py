@@ -13,7 +13,7 @@ import pytest
 
 from hurwitzlab.chambers import ChamberWitness, Wall, signature
 from hurwitzlab.cli import run_selftest
-from hurwitzlab.exact import MultiPoly, poly_divmod
+from hurwitzlab.exact import poly_divmod
 from hurwitzlab.hurwitz import (
     RamificationProfile,
     enumerate_profiles,
@@ -21,15 +21,15 @@ from hurwitzlab.hurwitz import (
     oracle_count,
 )
 from hurwitzlab.identities import verify_identities
-from hurwitzlab.piecewise import (
-    CONVENTIONS,
-    RECORDED_CONVENTION,
-    fit_chamber,
-    product_formula_wc,
-    wall_crossing,
-)
+from hurwitzlab.piecewise import fit_chamber, product_formula_report, wall_crossing
 from hurwitzlab.chambers import adjacent_chamber, chamber_nodes
-from reference import homogeneous_components, term_map, total_degree
+from reference import (
+    homogeneous_components,
+    poly_product,
+    raw_terms_poly,
+    term_map,
+    total_degree,
+)
 
 P_POINT = (7, 1, -2, -3, -3)
 Q_POINT = (9, 4, -5, -5, -3)
@@ -38,10 +38,6 @@ WALL_25 = Wall.canonical((2, 5), 5)
 
 def _report(criterion: int, name: str, started: float) -> None:
     print(f"ACCEPTANCE {criterion} {name}: PASS ({time.perf_counter() - started:.1f}s)")
-
-
-def _x(n: int, i: int) -> MultiPoly:
-    return MultiPoly.variable(n, i)
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +82,11 @@ def test_criterion_1_example_values():
 def test_criterion_2_example_polynomials(example_pair):
     started = time.perf_counter()
     fit_p, fit_q, crossing, fit_elapsed = example_pair
-    assert fit_p.polynomial == 6 * _x(5, 1) * _x(5, 1)
-    assert fit_q.polynomial == 6 * _x(5, 1) * (_x(5, 1) + _x(5, 2) + _x(5, 5))
-    assert crossing.polynomial == 6 * _x(5, 1) * (_x(5, 2) + _x(5, 5))
+    # 6*x1^2, 6*x1*(x1 + x2 + x5) and 6*x1*(x2 + x5), over all five variables
+    x1_x1, x1_x2, x1_x5 = (2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 0, 1)
+    assert fit_p.polynomial == raw_terms_poly(5, {x1_x1: 6})
+    assert fit_q.polynomial == raw_terms_poly(5, {x1_x1: 6, x1_x2: 6, x1_x5: 6})
+    assert crossing.polynomial == raw_terms_poly(5, {x1_x2: 6, x1_x5: 6})
     # frozen canonical term maps, derived once by hand
     assert term_map(fit_p.polynomial) == {(2, 0, 0, 0): Fraction(6)}
     assert term_map(fit_q.polynomial) == {
@@ -151,9 +149,9 @@ def test_criterion_6_product_formula(example_pair):
     q = RamificationProfile(Q_POINT)
     target = crossing.polynomial.evaluate(q.x)
     assert target == 54
-    values = {conv.name: product_formula_wc(WALL_25, q, conv) for conv in CONVENTIONS}
-    matching = [name for name, value in values.items() if value == target]
-    assert matching == [RECORDED_CONVENTION.name] == ["C(r,r1)"]
+    report = product_formula_report(WALL_25, q)
+    matching = [name for name, value in report.items() if value == target]
+    assert matching == ["C(r,r1)"]
 
     extra = [
         p
@@ -163,7 +161,7 @@ def test_criterion_6_product_formula(example_pair):
     assert len(extra) == 5
     for point in extra:
         derived = crossing.polynomial.evaluate(point.x)
-        assert product_formula_wc(WALL_25, point, RECORDED_CONVENTION) == derived
+        assert product_formula_report(WALL_25, point)["C(r,r1)"] == derived
     _report(6, "product formula convention pinned and re-verified", started)
 
 
@@ -184,7 +182,7 @@ def test_criterion_7_genus0_structure(genus0_matrix, example_pair):
     for crossing in crossings:
         quotient, remainder = poly_divmod(crossing.polynomial, crossing.wall.form())
         assert remainder.is_zero
-        assert quotient * crossing.wall.form() == crossing.polynomial
+        assert poly_product(quotient, crossing.wall.form()) == crossing.polynomial
     _report(7, "homogeneity and wall-form divisibility", started)
 
 

@@ -30,7 +30,9 @@ from reference import (
     box_vectors,
     determinant,
     random_witness,
+    raw_terms_poly,
     sign_at,
+    term_map,
 )
 
 EXAMPLE_C1 = RamificationProfile((7, 1, -2, -3, -3))
@@ -75,8 +77,16 @@ def test_wall_form_is_the_subset_sum():
 
 
 def test_walls_distinct_as_forms():
-    forms = {walls(4)[i].form() for i in range(len(walls(4)))}
-    assert len(forms) == len(walls(4))
+    forms = [term_map(wall.form()) for wall in walls(4)]
+    assert all(a != b for a, b in itertools.combinations(forms, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wall_form_matches_the_expanded_subset_sum(n):
+    # the sum of x_i over the wall, with x_n expanded by the reference route
+    for wall in walls(n):
+        units = (tuple(int(j == i) for j in range(1, n + 1)) for i in wall.indices)
+        assert term_map(wall.form()) == term_map(raw_terms_poly(n, dict.fromkeys(units, 1)))
 
 
 # -- signatures -----------------------------------------------------------------

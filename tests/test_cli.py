@@ -429,7 +429,7 @@ def test_selftest_orthogonality_reads_the_keys(monkeypatch):
 
     def shifted(mu):
         column = real(mu)
-        if len(mu) != 1:
+        if len(mu.parts) != 1:
             return column
         keys = sorted(column)
         return {key: column[moved] for key, moved in zip(keys, keys[1:] + keys[:1])}
@@ -506,6 +506,67 @@ def test_compute_payloads_are_pinned(tmp_path, monkeypatch, capsys):
     assert list(record) == ["key", "value", "method", "version", "timestamp"]
     assert record["key"] == "g=0;pos=3,1;neg=-2,-2"
     assert (record["value"], record["method"]) == ("6", "frobenius")
+
+
+_CROSSING_25 = (
+    '{"wall":[2,5],"polynomial":{"n":5,"terms":{"2,0,0,0":"-6","1,0,1,0":"-6",'
+    '"1,0,0,1":"-6"}},"display":"-6*x1^2 - 6*x1*x3 - 6*x1*x4",'
+    '"witness_from":[7,1,-2,-3,-3],"witness_to":[9,2,-4,-6,-1],'
+    '"factored":"(x2 + x5) * (6*x1)","product_formula":{"point":[9,2,-4,-6,-1],'
+    '"wc_value":"54","conventions":{"C(r-1,r1)":"36","C(r,r1)":"54",'
+    '"C(r-1,r2)":"18","-C(r-1,r1)":"-36","-C(r,r1)":"-54","-C(r-1,r2)":"-18"},'
+    '"matching":["C(r,r1)"]}}\n'
+)
+_WALLCROSS_PAYLOADS = [
+    (("-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "2,5"), _CROSSING_25, ""),
+    (
+        ("-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "1,3,4"),
+        _CROSSING_25,
+        "normalized wall [1,3,4] to canonical representative [2,5]\n",
+    ),
+    (
+        ("-g", "1", "-x", "3,1,-2,-2", "--wall", "2"),
+        '{"wall":[2],"polynomial":{"n":4,"terms":{"2,3,0":"-2","1,4,0":"-1",'
+        '"2,1,0":"2","1,2,0":"1"}},'
+        '"display":"-2*x1^2*x2^3 - x1*x2^4 + 2*x1^2*x2 + x1*x2^2",'
+        '"witness_from":[3,1,-2,-2],"witness_to":[5,-1,-2,-2],'
+        '"factored":"(x2) * (-2*x1^2*x2^2 - x1*x2^3 + 2*x1^2 + x1*x2)"}\n',
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, payload, notice", _WALLCROSS_PAYLOADS, ids=["2,5", "1,3,4", "g1"]
+)
+def test_wallcross_payloads_are_pinned(capsys, args, payload, notice):
+    from hurwitzlab import cli
+
+    assert cli.main(["wallcross", *args, "--json"]) == 0
+    assert capsys.readouterr() == (payload, notice)
+
+
+@pytest.mark.parametrize(
+    "x, wall",
+    [
+        ("7,1,-2,-3,-3", "2"),
+        ("3,1,-2,-2", "2"),
+        ("5,1,-2,-4", "2"),
+        ("9,4,-5,-5,-3", "5"),
+        ("1,3,-2,-2", "2,3,4"),
+    ],
+)
+def test_genus_zero_edge_wall_reports_no_product_formula(capsys, x, wall):
+    # on a wall of 1 or n - 1 indices one block is the unstable two-part
+    # case, with count 1/delta, so no product formula applies there
+    from hurwitzlab import cli
+
+    assert cli.main(["wallcross", "-g", "0", "-x", x, "--wall", wall, "--json"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["display"] == "0"
+    assert "product_formula" not in payload
+    assert err == f"no product formula on edge wall [{wall}]: one block has two parts\n"
 
 
 _SELFTEST_CHECKS = [

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,8 @@ from hurwitzlab.hurwitz import (
     oracle_count,
     simple_branch_count,
 )
+from hurwitzlab.chambers import ChamberWitness
+from hurwitzlab.piecewise import fit_chamber
 from hurwitzlab.symgroup import Partition, partitions_of, z_lambda
 from reference import connected_value, oracle_tuples
 
@@ -82,6 +86,27 @@ def test_negative_genus_rejected():
         simple_branch_count(-1, 5)
     with pytest.raises(InvalidProfileError):
         frobenius_connected(_profile(7, 1, -2, -3, -3), -1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: frobenius_disconnected(Partition((2,)), Partition((1, 1)), 1.5),
+         ValueError, "r must be an integer"),
+        (lambda: frobenius_disconnected(Partition((2,)), Partition((1, 1)), True),
+         ValueError, "r must be an integer"),
+        (lambda: frobenius_connected(_profile(2, -1, -1), 1.0),
+         InvalidProfileError, "genus must be an integer"),
+        (lambda: oracle_count(_profile(2, -1, -1), True),
+         InvalidProfileError, "genus must be an integer"),
+        (lambda: fit_chamber(ChamberWitness.at(_profile(2, 1, -3)), 0, "2"),
+         ValueError, "oversample must be an integer"),
+    ],
+    ids=["r-float", "r-bool", "genus-float", "genus-bool", "oversample-str"],
+)
+def test_library_boundary_rejects_ill_typed_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -271,6 +296,36 @@ def test_connected_genus_zero_matches_hurwitz_formula():
     assert cases == 386
 
 
+def _load_bench_checks():
+    """perfbench/checks.py, which computes its answers without this package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_connected_one_part_matches_the_closed_form():
+    """The Goulden-Jackson-Vakil closed form for one-part double Hurwitz
+    numbers, as ``perfbench/checks.py`` evaluates it: every stable profile
+    (2g - 2 + n > 0) with a single part on one side, d <= 12 and 1-4 parts on
+    the other, g = 0..3, in both orientations, plus two of higher degree."""
+    one_part_value = _load_bench_checks().one_part_value
+    cases = []
+    for d in range(1, 13):
+        for betas in _partitions_with_at_most(d, 4):
+            x = (d,) + tuple(-b for b in betas)
+            for g in range(4):
+                if 2 * g - 1 + len(betas) > 0:
+                    cases += [(x, g), (tuple(-v for v in x), g)]
+    assert len(cases) == 1208
+    for d in (30, 40):
+        x = (d, -(d // 2), -(d // 3), -(d - d // 2 - d // 3))
+        cases += [(x, g) for g in range(4)]
+    for x, g in cases:
+        assert frobenius_connected(RamificationProfile(x), g).value == one_part_value(x, g), (x, g)
+
+
 def test_degenerate_degree_one_positive_r():
     # d = 1 with extra branch points supports no cover
     assert oracle_count(_profile(1, -1), 1).value == 0
@@ -282,7 +337,7 @@ def _part_multisets(n: int, max_degree: int):
     for d in range(1, max_degree + 1):
         for alpha in partitions_of(d):
             for beta in partitions_of(d):
-                if len(alpha) + len(beta) == n:
+                if len(alpha.parts) + len(beta.parts) == n:
                     yield RamificationProfile(alpha.parts + tuple(-b for b in beta.parts))
 
 

@@ -27,14 +27,19 @@ from hurwitzlab.hurwitz import (
 )
 from hurwitzlab.piecewise import (
     CONVENTIONS,
-    RECORDED_CONVENTION,
     crossing_blocks,
     fit_chamber,
     product_formula_report,
-    product_formula_wc,
     wall_crossing,
 )
-from reference import constant, interpolate, poly_from_json, random_witness, total_degree
+from reference import (
+    constant,
+    interpolate,
+    poly_from_json,
+    poly_product,
+    random_witness,
+    total_degree,
+)
 
 
 def _witness(*entries: int) -> ChamberWitness:
@@ -285,7 +290,7 @@ def test_wall_crossing_antisymmetry(n4_crossing):
     wall, near, far = n4_crossing
     forward = wall_crossing(near, far, wall)
     backward = wall_crossing(far, near, wall)
-    assert forward.polynomial == -backward.polynomial
+    assert forward.polynomial == MultiPoly(4) - backward.polynomial
 
 
 def test_wall_crossing_divisible_by_wall_form(n4_crossing):
@@ -293,7 +298,7 @@ def test_wall_crossing_divisible_by_wall_form(n4_crossing):
     crossing = wall_crossing(near, far, wall)
     quotient, remainder = poly_divmod(crossing.polynomial, wall.form())
     assert remainder.is_zero
-    assert quotient * wall.form() == crossing.polynomial
+    assert poly_product(quotient, wall.form()) == crossing.polynomial
 
 
 def test_wall_crossing_vanishes_on_the_wall(n4_crossing):
@@ -325,11 +330,23 @@ def test_product_formula_requires_positive_side():
     wall = Wall.canonical((2, 5), 5)
     p = RamificationProfile((7, 1, -2, -3, -3))  # x2 + x5 = -2
     with pytest.raises(ValueError):
-        product_formula_wc(wall, p, RECORDED_CONVENTION)
+        product_formula_report(wall, p)
+
+
+def test_product_formula_counts_each_block_once(monkeypatch):
+    counted = []
+
+    def counting(p: RamificationProfile, g: int):
+        counted.append(p.x)
+        return frobenius_connected(p, g)
+
+    monkeypatch.setattr(piecewise, "frobenius_connected", counting)
+    product_formula_report(Wall.canonical((2, 5), 5), RamificationProfile((9, 4, -5, -5, -3)))
+    assert counted == [(4, -3, -1), (9, -5, -5, 1)]
 
 
 def test_convention_catalogue():
-    assert [c.name for c in CONVENTIONS] == [
+    assert list(CONVENTIONS) == [
         "C(r-1,r1)",
         "C(r,r1)",
         "C(r-1,r2)",
@@ -337,9 +354,8 @@ def test_convention_catalogue():
         "-C(r,r1)",
         "-C(r-1,r2)",
     ]
-    assert RECORDED_CONVENTION.name == "C(r,r1)"
     wall = Wall.canonical((2, 5), 5)
     q = RamificationProfile((9, 4, -5, -5, -3))
     report = product_formula_report(wall, q)
-    assert set(report) == {c.name for c in CONVENTIONS}
+    assert list(report) == list(CONVENTIONS)
     assert report["-C(r,r1)"] == -report["C(r,r1)"]

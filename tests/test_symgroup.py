@@ -128,7 +128,7 @@ def test_trivial_representation():
 def test_sign_representation():
     for d in (3, 5, 6):
         for mu in partitions_of(d):
-            assert _column(mu)[Partition((1,) * d)] == (-1) ** (d - len(mu))
+            assert _column(mu)[Partition((1,) * d)] == (-1) ** (d - len(mu.parts))
 
 
 def test_standard_character_on_three_cycle():
@@ -166,7 +166,7 @@ def test_column_matches_the_beta_set_route():
 def test_content_of_mask():
     for d in range(15):
         for lam in partitions_of(d):
-            parts = lam.parts + (0,) * (d - len(lam))
+            parts = lam.parts + (0,) * (d - len(lam.parts))
             mask = sum(1 << (p + d - i) for i, p in enumerate(parts, 1))
             assert partition_of_mask(mask, d) == lam
             expected = sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam.parts))
