@@ -20,6 +20,7 @@ from .errors import (
     AdjacencyNotFoundError,
     OnWallError,
     SamplingBudgetExceededError,
+    count_argument,
 )
 from .exact import MultiPoly, compositions, lattice_point, monomials_up_to_degree
 from .hurwitz import RamificationProfile
@@ -35,9 +36,11 @@ class Wall:
     n: int
 
     def __post_init__(self):
+        count_argument("n", self.n, 2)
         if not self.indices:
             raise ValueError("wall index set must be nonempty")
-        if self.indices != tuple(sorted(set(self.indices))):
+        distinct = {count_argument("wall index", i, None) for i in self.indices}
+        if self.indices != tuple(sorted(distinct)):
             raise ValueError(f"wall indices must be sorted and distinct: {self.indices}")
         if 1 in self.indices:
             raise ValueError("canonical wall representative must not contain index 1")
@@ -49,7 +52,8 @@ class Wall:
     @classmethod
     def canonical(cls, indices, n: int) -> Wall:
         """Normalize {I, complement} to the representative avoiding index 1."""
-        chosen = tuple(sorted(set(indices)))
+        count_argument("n", n, 2)
+        chosen = tuple(sorted({count_argument("wall index", i, None) for i in indices}))
         if not chosen or len(chosen) >= n:
             raise ValueError(f"not a proper nonempty subset of 1..{n}: {indices}")
         if chosen[0] < 1 or chosen[-1] > n:
@@ -77,11 +81,10 @@ class Wall:
         return "[" + ",".join(map(str, self.indices)) + "]"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: walls(2.0) must not hit walls(2)
 def walls(n: int) -> tuple[Wall, ...]:
     """All 2^{n-1} - 1 canonical walls, ordered by size then lexicographically."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    count_argument("n", n, 2)
     rest = range(2, n + 1)
     out = []
     for size in range(1, n):
@@ -264,10 +267,9 @@ def chamber_nodes(
     (ties in lattice order), the only ones built.  Every check counts toward
     the budget.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if held_out < 0:
-        raise ValueError("held_out must be nonnegative")
+    count_argument("degree", degree)
+    count_argument("held_out", held_out)
+    count_argument("budget", budget)
     n = witness.point.n
     target = witness.signature.signs
     spent = 0

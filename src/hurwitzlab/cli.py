@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import __version__
 from .chambers import DEFAULT_NODE_BUDGET, ChamberWitness, Wall, adjacent_chamber
-from .errors import HurwitzlabError, InvalidProfileError
+from .errors import HurwitzlabError, InvalidProfileError, count_argument
 from .exact import (
     MultiPoly,
     lattice_point,
@@ -105,6 +105,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def cache_key(g: int, profile: RamificationProfile) -> str:
+    count_argument("genus", g, error=InvalidProfileError)
     pos = sorted(profile.positives(), reverse=True)
     neg = sorted(profile.negatives())
     return (
@@ -253,7 +254,7 @@ def cmd_wallcross(args) -> int:
     payload = crossing.to_json_dict()
 
     quotient, remainder = poly_divmod(crossing.polynomial, wall.form())
-    if remainder.is_zero:
+    if remainder.is_zero and not crossing.polynomial.is_zero:
         pretty = " + ".join(f"x{i}" for i in wall.indices)
         payload["factored"] = f"({pretty}) * ({quotient})"
 

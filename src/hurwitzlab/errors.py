@@ -1,7 +1,7 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy and the count rule shared across the package.
 
-Every error carries a stable ``code`` string; the command line front end maps
-codes to exit statuses and prints them in structured form on stderr.
+Every error carries a stable ``code`` string, which the command line maps to an
+exit status; every public count argument passes the rule ``count_argument``.
 """
 
 from __future__ import annotations
@@ -87,3 +87,14 @@ class BlockUnbalancedError(HurwitzlabError):
     """A split block of a profile does not sum to zero."""
 
     code = "BLOCK_UNBALANCED"
+
+
+def count_argument(name: str, value, low: int | None = 0, error: type = ValueError) -> int:
+    """value if it is an int, not a bool, and at least low (None: any int);
+    else error, naming the argument."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+        raise error(f"{name} must be {bound}, got {value}")
+    return value

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatchError, NonZeroSumError
+from .errors import DimensionMismatchError, NonZeroSumError, count_argument
 
 Exponents = tuple[int, ...]
 
@@ -32,13 +32,17 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
 
 def compositions(total: int, parts: int) -> Iterator[Exponents]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+
+    def gen(total: int, parts: int) -> Iterator[Exponents]:
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for head in range(total + 1):
+            for rest in gen(total - head, parts - 1):
+                yield (head,) + rest
+
+    return gen(count_argument("total", total), count_argument("parts", parts))
 
 
 def monomials_up_to_degree(num_vars: int, degree: int) -> list[Exponents]:
@@ -47,6 +51,8 @@ def monomials_up_to_degree(num_vars: int, degree: int) -> list[Exponents]:
     Read as lattice coordinates a (a_i >= 0, sum a_i <= degree), this is also
     the simplex lattice of ``newton_interpolate`` in its lattice order.
     """
+    count_argument("num_vars", num_vars)
+    count_argument("degree", degree)
     # compositions come out lexicographically ascending
     return [a for total in range(degree + 1) for a in compositions(total, num_vars)]
 
@@ -63,8 +69,7 @@ class MultiPoly:
     __slots__ = ("n", "terms", "_over_lcm")
 
     def __init__(self, n: int, terms: Mapping[Exponents, Fraction | int] | None = None):
-        if n < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {n}")
+        count_argument("n", n, 2)
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
@@ -256,12 +261,9 @@ def newton_interpolate(
     sum_k c_k D!/prod_i k_i! det^(D-|k|) prod_i prod_{j<k_i} (l_i - j det).
     It is expanded by Horner's rule per axis; each coefficient is divided once.
     """
-    n = len(base)
+    n = count_argument("len(base)", len(base), 2)
     m = n - 1
-    if n < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {n}")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    count_argument("degree", degree)
     if len(steps) != m:
         raise DimensionMismatchError(f"need {m} steps for n={n}, got {len(steps)}")
     for vector in (base, *steps):

@@ -36,6 +36,7 @@ from .errors import (
     BudgetExceededError,
     InvalidProfileError,
     NegativeBranchCountError,
+    count_argument,
 )
 from .symgroup import Partition, character_column, content_of_mask
 
@@ -126,10 +127,8 @@ class HurwitzResult:
 
 def simple_branch_count(g: int, n: int) -> int:
     """Number of simple branch points r = 2g - 2 + n."""
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise InvalidProfileError(f"genus must be an integer, got {g!r}")
-    if g < 0:
-        raise InvalidProfileError(f"genus must be nonnegative, got {g}")
+    count_argument("genus", g, error=InvalidProfileError)
+    count_argument("n", n, error=InvalidProfileError)
     r = 2 * g - 2 + n
     if r < 0:
         raise NegativeBranchCountError(f"2g-2+n = {r} < 0 for g={g}, n={n}")
@@ -142,6 +141,7 @@ def invariant_violation(profile: RamificationProfile, r: int, value: Fraction) -
     Cheap sanity invariants, checked on every computed value and on every
     value read back from the result cache.
     """
+    count_argument("r", r)
     weight = math.prod(profile.positives())
     if weight % value.denominator:
         return f"integrality violated: {value} * {weight} is not an integer"
@@ -255,7 +255,7 @@ def enumeration_size(d: int, r: int) -> int:
     """C(d,2)^r, the count of r-tuples of transpositions in S_d: the size of
     the tuple space, which ``oracle_count`` checks against its budget.  It
     bounds the tuples counted, not the work of counting them."""
-    return math.comb(d, 2) ** r
+    return math.comb(count_argument("d", d), 2) ** count_argument("r", r)
 
 
 def oracle_count(
@@ -282,7 +282,7 @@ def oracle_count(
     r = simple_branch_count(g, profile.n)
     d = profile.degree
     size = enumeration_size(d, r)
-    if budget is not None and size > budget:
+    if budget is not None and size > count_argument("budget", budget):
         raise BudgetExceededError(
             f"enumeration size C({d},2)^{r} = {size} exceeds budget {budget}"
         )
@@ -323,13 +323,8 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> int:
     """
     if alpha.size != beta.size:
         raise ValueError(f"|alpha|={alpha.size} differs from |beta|={beta.size}")
-    d = alpha.size
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError(f"r must be an integer, got {r!r}")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    d = count_argument("degree", alpha.size, 1)
+    count_argument("r", r)
     small, large = sorted((character_column(alpha), character_column(beta)), key=len)
     total = 0
     for mask, chi in small.items():
@@ -410,9 +405,10 @@ def frobenius_connected(profile: RamificationProfile, g: int) -> HurwitzResult:
 
 def enumerate_profiles(n: int, max_degree: int) -> list[RamificationProfile]:
     """All valid profiles of length n with degree at most max_degree."""
+    count_argument("max_degree", max_degree)
     entries = [v for v in range(-max_degree, max_degree + 1) if v != 0]
     out = []
-    for combo in itertools.product(entries, repeat=n):
+    for combo in itertools.product(entries, repeat=count_argument("n", n)):
         if sum(combo) != 0:
             continue
         degree = sum(v for v in combo if v > 0)

@@ -11,11 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .errors import count_argument
+
 
 def alternating_sum(r: int, r2: int) -> int:
     """sum_{k=r2}^{r-1} C(r-1,k) C(k-1,r2-1) (-1)^(r-1-k)."""
-    if r < 2 or not 1 <= r2 <= r - 1:
-        raise ValueError(f"need r >= 2 and 1 <= r2 <= r-1, got r={r}, r2={r2}")
+    count_argument("r", r, 2)
+    if count_argument("r2", r2, 1) > r - 1:
+        raise ValueError(f"need r2 <= r-1, got r={r}, r2={r2}")
     return sum(
         comb(r - 1, k) * comb(k - 1, r2 - 1) * (-1) ** (r - 1 - k)
         for k in range(r2, r)
@@ -27,8 +30,8 @@ def beta_integral_exact(r1: int, r2: int) -> Fraction:
 
     The integrand is expanded binomially and integrated term by term.
     """
-    if r1 < 1 or r2 < 1 or r1 + r2 < 2:
-        raise ValueError(f"need positive r1, r2 with r1+r2 >= 2, got {r1}, {r2}")
+    count_argument("r1", r1, 1)
+    count_argument("r2", r2, 1)
     r = r1 + r2
     integral = sum(
         Fraction(comb(r1 - 1, j) * (-1) ** (r1 - 1 - j), r2 + j)
@@ -52,8 +55,7 @@ def verify_identities(r_max: int) -> IdentityReport:
 
     Failures are reported, not raised.
     """
-    if r_max < 2:
-        raise ValueError(f"r_max must be at least 2, got {r_max}")
+    count_argument("r_max", r_max, 2)
     failures: list[str] = []
     cases = 0
     for r in range(2, r_max + 1):

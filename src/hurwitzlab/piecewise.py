@@ -22,6 +22,7 @@ from .errors import (
     NotAdjacentError,
     NotPolynomialError,
     UnstableCaseError,
+    count_argument,
 )
 from .exact import MultiPoly, newton_interpolate
 from .hurwitz import (
@@ -96,16 +97,13 @@ def fit_chamber(
     refuses with UnstableCaseError.
     """
     n = witness.point.n
+    simple_branch_count(g, n)  # raises for impossible (g, n)
     if n == 2 and g == 0:
         raise UnstableCaseError(
             "the two-part genus-0 count is 1/d and admits no polynomial fit"
         )
-    if not isinstance(oversample, int) or isinstance(oversample, bool):
-        raise ValueError(f"oversample must be an integer, got {oversample!r}")
-    if oversample < 1:
-        raise ValueError("oversample must be positive")
+    count_argument("oversample", oversample, 1)
     degree_bound = 4 * g - 3 + n
-    simple_branch_count(g, n)  # raises for impossible (g, n)
 
     design = chamber_nodes(witness, degree_bound, oversample, sampling_budget)
     values = {a: frobenius_connected(p, g).value for a, p in design.nodes}

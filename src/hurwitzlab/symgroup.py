@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .errors import count_argument
+
 
 @dataclass(frozen=True, order=True)
 class Partition:
@@ -62,8 +64,8 @@ def partitions_of(d: int) -> Iterator[Partition]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    for parts in gen(d, d):
-        yield Partition(parts)
+    d = count_argument("d", d)
+    return map(Partition, gen(d, d))
 
 
 @lru_cache(maxsize=None)

@@ -341,26 +341,28 @@ def test_wallcross_normalizes_complement_input():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, detail",
     [
-        ("wallcross", "--wall", "9"),
-        ("wallcross", "--wall", "2,x"),
-        ("fit", "--oversample", "0"),
-        ("wallcross", "--wall", "1,6"),
-        ("wallcross", "--wall", "1,0"),
+        (("wallcross", "--wall", "9"), "wall indices out of range 1..5: (9,)"),
+        (("wallcross", "--wall", "2,x"), "cannot parse index list '2,x'"),
+        (("fit", "--oversample", "0"), "oversample must be positive, got 0"),
+        (("fit", "--budget", "-1"), "budget must be nonnegative, got -1"),
+        (("wallcross", "--wall", "1,6"), "wall indices out of range 1..5: (1, 6)"),
+        (("wallcross", "--wall", "1,0"), "wall indices out of range 1..5: (0, 1)"),
     ],
     ids=[
         "wallcross-wall",
         "wallcross-wall-text",
         "fit-oversample",
+        "fit-budget",
         "wallcross-wall-1-6",
         "wallcross-wall-1-0",
     ],
 )
-def test_invalid_argument_exits_2(args):
+def test_invalid_argument_exits_2(args, detail):
     proc = _run(args[0], "-g", "0", "-x", "7,1,-2,-3,-3", *args[1:])
     assert proc.returncode == 2
-    assert _stderr_json(proc)["error"] == "INVALID_ARGUMENT"
+    assert _stderr_json(proc) == {"error": "INVALID_ARGUMENT", "detail": detail}
     assert "normalized wall" not in proc.stderr
 
 
@@ -565,6 +567,8 @@ def test_genus_zero_edge_wall_reports_no_product_formula(capsys, x, wall):
     out, err = capsys.readouterr()
     payload = json.loads(out)
     assert payload["display"] == "0"
+    # the zero polynomial has no factored form, though the wall divides it
+    assert "factored" not in payload
     assert "product_formula" not in payload
     assert err == f"no product formula on edge wall [{wall}]: one block has two parts\n"
 

@@ -26,8 +26,6 @@ from hurwitzlab.hurwitz import (
     oracle_count,
     simple_branch_count,
 )
-from hurwitzlab.chambers import ChamberWitness
-from hurwitzlab.piecewise import fit_chamber
 from hurwitzlab.symgroup import Partition, partitions_of, z_lambda
 from reference import connected_value, oracle_tuples
 
@@ -86,27 +84,6 @@ def test_negative_genus_rejected():
         simple_branch_count(-1, 5)
     with pytest.raises(InvalidProfileError):
         frobenius_connected(_profile(7, 1, -2, -3, -3), -1)
-
-
-@pytest.mark.parametrize(
-    "call, error, message",
-    [
-        (lambda: frobenius_disconnected(Partition((2,)), Partition((1, 1)), 1.5),
-         ValueError, "r must be an integer"),
-        (lambda: frobenius_disconnected(Partition((2,)), Partition((1, 1)), True),
-         ValueError, "r must be an integer"),
-        (lambda: frobenius_connected(_profile(2, -1, -1), 1.0),
-         InvalidProfileError, "genus must be an integer"),
-        (lambda: oracle_count(_profile(2, -1, -1), True),
-         InvalidProfileError, "genus must be an integer"),
-        (lambda: fit_chamber(ChamberWitness.at(_profile(2, 1, -3)), 0, "2"),
-         ValueError, "oversample must be an integer"),
-    ],
-    ids=["r-float", "r-bool", "genus-float", "genus-bool", "oversample-str"],
-)
-def test_library_boundary_rejects_ill_typed_arguments(call, error, message):
-    with pytest.raises(error, match=message):
-        call()
 
 
 # -- oracle ----------------------------------------------------------------------

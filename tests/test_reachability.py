@@ -4,12 +4,13 @@ The commands below cover what the CLI documents: compute as a cache miss, a
 hit, a verified hit, by both methods, over the oracle budget and on a damaged
 cache record; the documented fits; wall crossings at g=0 and g=1, one of
 them with no adjacent witness and one on an edge wall; the self-test; and
-invalid input.  Run in-process under a profile hook, they must call every
-named function and method defined in ``src/hurwitzlab``, nested ones and
-hand-written dunder methods included, so that no production code exists only
-for the tests.  ``__str__`` and ``__repr__`` are exempt: formatting calls them
-on error paths and in test failure output.  Methods that ``dataclasses``
-generates have no source lines and are not counted.
+invalid input, negative budgets included.  Run in-process under a profile
+hook, they must call every named function and method defined in
+``src/hurwitzlab``, nested ones and hand-written dunder methods included, so
+that no production code exists only for the tests.  ``__str__`` and
+``__repr__`` are exempt: formatting calls them on error paths and in test
+failure output.  Methods that ``dataclasses`` generates have no source lines
+and are not counted.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ COMMANDS = [
     (("fit", "-g", "0", "-x", "7,1,-2,-3,-3", "--oversample", "0"), 2),
     (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "1,6"), 2),
     (("compute", "-g", "0", "-x", "2,-1,-1", "--cache", "."), 2),
+    (
+        ("compute", "-g", "0", "-x", "9,4,-5,-5,-3", "--method", "oracle",
+         "--budget", "-1", "--no-cache"),
+        2,
+    ),
+    (("fit", "-g", "0", "-x", "7,1,-2,-3,-3", "--budget", "-1"), 2),
 ]
 
 EXEMPT = ("__str__", "__repr__")
