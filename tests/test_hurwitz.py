@@ -86,6 +86,12 @@ def test_negative_genus_rejected():
         frobenius_connected(_profile(7, 1, -2, -3, -3), -1)
 
 
+@pytest.mark.parametrize("r", [1.5, True], ids=["r-float", "r-bool"])
+def test_library_boundary_rejects_ill_typed_arguments(r):
+    with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+        frobenius_disconnected(Partition((2,)), Partition((1, 1)), r)
+
+
 # -- oracle ----------------------------------------------------------------------
 
 
