@@ -11,13 +11,14 @@ are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from typing import Iterator
 
 from .errors import (
     AdjacencyNotFoundError,
+    DimensionMismatchError,
     OnWallError,
     SamplingBudgetExceededError,
     count_argument,
@@ -30,37 +31,22 @@ DEFAULT_NODE_BUDGET = 100_000
 
 @dataclass(frozen=True)
 class Wall:
-    """A canonical wall: a nonempty proper subset of {1..n} avoiding index 1."""
+    """The wall of a nonempty proper subset of {1..n} or of its complement,
+    the same hyperplane; it keeps the one avoiding index 1, sorted."""
 
     indices: tuple[int, ...]
     n: int
 
     def __post_init__(self):
-        count_argument("n", self.n, 2)
-        if not self.indices:
-            raise ValueError("wall index set must be nonempty")
-        distinct = {count_argument("wall index", i, None) for i in self.indices}
-        if self.indices != tuple(sorted(distinct)):
-            raise ValueError(f"wall indices must be sorted and distinct: {self.indices}")
-        if 1 in self.indices:
-            raise ValueError("canonical wall representative must not contain index 1")
-        if any(i < 1 or i > self.n for i in self.indices):
-            raise ValueError(f"wall indices out of range 1..{self.n}: {self.indices}")
-        if len(self.indices) >= self.n:
-            raise ValueError("wall index set must be a proper subset")
-
-    @classmethod
-    def canonical(cls, indices, n: int) -> Wall:
-        """Normalize {I, complement} to the representative avoiding index 1."""
-        count_argument("n", n, 2)
-        chosen = tuple(sorted({count_argument("wall index", i, None) for i in indices}))
+        n = count_argument("n", self.n, 2)
+        chosen = tuple(sorted({count_argument("wall index", i, None) for i in self.indices}))
         if not chosen or len(chosen) >= n:
-            raise ValueError(f"not a proper nonempty subset of 1..{n}: {indices}")
+            raise ValueError(f"not a proper nonempty subset of 1..{n}: {self.indices}")
         if chosen[0] < 1 or chosen[-1] > n:
             raise ValueError(f"wall indices out of range 1..{n}: {chosen}")
         if 1 in chosen:
-            chosen = tuple(i for i in range(1, n + 1) if i not in chosen)
-        return cls(chosen, n)
+            chosen = tuple(i for i in range(2, n + 1) if i not in chosen)
+        object.__setattr__(self, "indices", chosen)
 
     def complement(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if i not in self.indices)
@@ -165,18 +151,17 @@ def signature(profile: RamificationProfile) -> ChamberSignature:
 
 @dataclass(frozen=True)
 class ChamberWitness:
-    """A lattice point together with its (recomputable) chamber signature."""
+    """A lattice point together with its chamber signature, derived from it."""
 
     point: RamificationProfile
-    signature: ChamberSignature
+    signature: ChamberSignature = field(init=False)
 
     def __post_init__(self):
-        if signature(self.point) != self.signature:
-            raise ValueError(f"signature does not match point {self.point}")
+        object.__setattr__(self, "signature", signature(self.point))
 
     @classmethod
     def at(cls, profile: RamificationProfile) -> ChamberWitness:
-        return cls(profile, signature(profile))
+        return cls(profile)
 
 
 def _is_valid_sample(candidate: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
@@ -360,8 +345,10 @@ def adjacent_chamber(witness: ChamberWitness, wall: Wall) -> ChamberWitness:
     flipped sign vector can cut out nothing), raises AdjacencyNotFoundError.
     """
     n = witness.point.n
-    if wall not in walls(n):
-        raise ValueError(f"{wall} is not a canonical wall for n={n}")
+    if wall.n != n:
+        raise DimensionMismatchError(
+            f"wall {wall} is for n={wall.n}, point {witness.point} has n={n}"
+        )
     x = witness.point.x
     s = wall.subset_sum(x)
     direction = -1 if s > 0 else 1

@@ -54,7 +54,6 @@ _EXIT_CODES = {
     "NONZERO_SUM": 2,
     "ON_WALL": 2,
     "UNSTABLE_CASE": 2,
-    "NEGATIVE_R": 2,
     "INVALID_ARGUMENT": 2,
     "BUDGET_EXCEEDED": 3,
     "SAMPLING_BUDGET_EXCEEDED": 3,
@@ -244,7 +243,7 @@ def cmd_fit(args) -> int:
 def cmd_wallcross(args) -> int:
     witness = ChamberWitness.at(_parse_profile(args.x))
     requested = _parse_indices(args.wall)
-    wall = Wall.canonical(requested, witness.point.n)
+    wall = Wall(requested, witness.point.n)
     if tuple(sorted(set(requested))) != wall.indices:
         _notice(f"normalized wall [{args.wall}] to canonical representative {wall}")
 

@@ -31,12 +31,6 @@ class InvalidProfileError(HurwitzlabError):
     code = "INVALID_PROFILE"
 
 
-class NegativeBranchCountError(HurwitzlabError):
-    """2g - 2 + n < 0: no cover exists; callers treat the count as zero."""
-
-    code = "NEGATIVE_R"
-
-
 class BudgetExceededError(HurwitzlabError):
     """The oracle's tuple space C(d,2)^r exceeds its budget."""
 

@@ -30,6 +30,14 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
+def _exact(name: str, value) -> Fraction:
+    """value as a Fraction if it is an int, not a bool, or a Fraction; else
+    ValueError, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def compositions(total: int, parts: int) -> Iterator[Exponents]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
 
@@ -72,14 +80,12 @@ class MultiPoly:
         count_argument("n", n, 2)
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(exps)
+            key = tuple(count_argument("exponent", e) for e in exps)
             if len(key) != n - 1:
                 raise ValueError(
                     f"exponent vector {key} has length {len(key)}, expected {n - 1}"
                 )
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            value = Fraction(coeff)
+            value = _exact("coefficient", coeff)
             if value != 0:
                 clean[key] = clean.get(key, Fraction(0)) + value
         self.n = n
@@ -264,6 +270,8 @@ def newton_interpolate(
     n = count_argument("len(base)", len(base), 2)
     m = n - 1
     count_argument("degree", degree)
+    base = tuple(count_argument("base entry", v, None) for v in base)
+    steps = [tuple(count_argument("step entry", v, None) for v in step) for step in steps]
     if len(steps) != m:
         raise DimensionMismatchError(f"need {m} steps for n={n}, got {len(steps)}")
     for vector in (base, *steps):
@@ -280,13 +288,14 @@ def newton_interpolate(
     missing = [a for a in lattice if a not in values]
     if missing:
         raise ValueError(f"no value at {len(missing)} lattice points, e.g. {missing[0]}")
+    exact = {a: _exact("value", values[a]) for a in lattice}
 
     # a lattice point or an exponent vector e is keyed by sum_i e_i radix^i
     radix = degree + 1
     shift = [radix**i for i in range(m)]
     keys = [sum(k * s for k, s in zip(a, shift)) for a in lattice]
-    den = math.lcm(*(Fraction(values[a]).denominator for a in lattice))
-    table = {k: int(Fraction(values[a]) * den) for a, k in zip(lattice, keys)}
+    den = math.lcm(*(v.denominator for v in exact.values()))
+    table = {k: int(exact[a] * den) for a, k in zip(lattice, keys)}
     for axis, unit in enumerate(shift):
         # descending along the axis, so each subtraction reads the lower
         # difference order of its neighbour

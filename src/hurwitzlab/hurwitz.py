@@ -32,12 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    BudgetExceededError,
-    InvalidProfileError,
-    NegativeBranchCountError,
-    count_argument,
-)
+from .errors import BudgetExceededError, InvalidProfileError, count_argument
 from .symgroup import Partition, character_column, content_of_mask
 
 DEFAULT_ORACLE_BUDGET = 10**9
@@ -83,11 +78,11 @@ class RamificationProfile:
 
     def alpha(self) -> Partition:
         """Cycle type over 0."""
-        return Partition.from_iterable(self.positives())
+        return Partition(self.positives())
 
     def beta(self) -> Partition:
         """Cycle type over infinity."""
-        return Partition.from_iterable(-v for v in self.negatives())
+        return Partition(-v for v in self.negatives())
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.x)) + ")"
@@ -126,13 +121,11 @@ class HurwitzResult:
 
 
 def simple_branch_count(g: int, n: int) -> int:
-    """Number of simple branch points r = 2g - 2 + n."""
+    """Number of simple branch points r = 2g - 2 + n, nonnegative since a
+    profile has n >= 2 entries."""
     count_argument("genus", g, error=InvalidProfileError)
-    count_argument("n", n, error=InvalidProfileError)
-    r = 2 * g - 2 + n
-    if r < 0:
-        raise NegativeBranchCountError(f"2g-2+n = {r} < 0 for g={g}, n={n}")
-    return r
+    count_argument("n", n, 2, error=InvalidProfileError)
+    return 2 * g - 2 + n
 
 
 def invariant_violation(profile: RamificationProfile, r: int, value: Fraction) -> str | None:
@@ -335,10 +328,8 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> int:
 
 
 def _sides(values: tuple[int, ...]) -> tuple[Partition, Partition]:
-    """The cycle types over 0 and over infinity of decreasing parts."""
-    return Partition(tuple(v for v in values if v > 0)), Partition(
-        tuple(-v for v in reversed(values) if v < 0)
-    )
+    """The cycle types over 0 and over infinity of the parts."""
+    return Partition(v for v in values if v > 0), Partition(-v for v in values if v < 0)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .chambers import DEFAULT_NODE_BUDGET, ChamberWitness, Wall, chamber_nodes
 from .errors import (
     BlockUnbalancedError,
+    DimensionMismatchError,
     NotAdjacentError,
     NotPolynomialError,
     UnstableCaseError,
@@ -97,7 +98,7 @@ def fit_chamber(
     refuses with UnstableCaseError.
     """
     n = witness.point.n
-    simple_branch_count(g, n)  # raises for impossible (g, n)
+    simple_branch_count(g, n)  # rejects a bad genus; a profile has n >= 2
     if n == 2 and g == 0:
         raise UnstableCaseError(
             "the two-part genus-0 count is 1/d and admits no polynomial fit"
@@ -188,6 +189,8 @@ def crossing_blocks(
     Requires x strictly on the positive side of the wall (the chamber the
     crossing lands in).
     """
+    if wall.n != x.n:
+        raise DimensionMismatchError(f"wall {wall} is for n={wall.n}, point {x} has n={x.n}")
     total = wall.subset_sum(x.x)
     if total == 0:
         raise BlockUnbalancedError(f"{x} lies on wall {wall}")

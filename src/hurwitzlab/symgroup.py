@@ -13,26 +13,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import count_argument
 
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """A weakly decreasing tuple of positive integers (possibly empty)."""
+    """Positive integer parts (possibly none), given in any order and kept
+    weakly decreasing."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError(f"partition parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
-
-    @classmethod
-    def from_iterable(cls, parts: Iterable[int]) -> Partition:
-        return cls(tuple(sorted(parts, reverse=True)))
+        parts = (count_argument("part", p, 1) for p in self.parts)
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
     @property
     def size(self) -> int:

@@ -244,7 +244,7 @@ class Permutation:
 
 def cycle_type(sigma: Permutation) -> Partition:
     """The multiset of cycle lengths of sigma, sorted decreasing."""
-    return Partition.from_iterable(len(c) for c in sigma.cycles())
+    return Partition(len(c) for c in sigma.cycles())
 
 
 def is_transitive(d: int, gens: Iterable[Permutation]) -> bool:
@@ -533,8 +533,8 @@ def _mult_factorial(lam: Partition) -> int:
 
 
 def labeled_disconnected(pos: tuple[int, ...], neg: tuple[int, ...], r: int) -> Fraction:
-    alpha = Partition.from_iterable(pos)
-    beta = Partition.from_iterable(neg)
+    alpha = Partition(pos)
+    beta = Partition(neg)
     labeled = Fraction(_mult_factorial(alpha) * _mult_factorial(beta), math.factorial(alpha.size))
     return labeled * disconnected_count(alpha, beta, r)
 

@@ -33,7 +33,7 @@ from reference import (
 
 P_POINT = (7, 1, -2, -3, -3)
 Q_POINT = (9, 4, -5, -5, -3)
-WALL_25 = Wall.canonical((2, 5), 5)
+WALL_25 = Wall((2, 5), 5)
 
 
 def _report(criterion: int, name: str, started: float) -> None:
@@ -174,7 +174,7 @@ def test_criterion_7_genus0_structure(genus0_matrix, example_pair):
 
     crossings = [example_pair[2]]
     witness4 = ChamberWitness.at(RamificationProfile((3, 1, -2, -2)))
-    wall4 = Wall.canonical((2, 4), 4)
+    wall4 = Wall((2, 4), 4)
     other4 = adjacent_chamber(witness4, wall4)
     crossings.append(
         wall_crossing(fit_chamber(witness4, 0), fit_chamber(other4, 0), wall4)

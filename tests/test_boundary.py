@@ -97,21 +97,31 @@ WITNESS = ChamberWitness.at(PROFILE)
 # two parts, so that g=False is refused as a genus, not as the unstable g=0 case
 FIT = {"witness": ChamberWitness.at(RamificationProfile((1, -1))), "g": 1}
 PAIR = {"alpha": Partition((2,)), "beta": Partition((1, 1))}
-LINE = {"base": (1, -1), "steps": ((1, -1),), "values": {(0,): 1}}
+LINE = {"base": (1, -1), "steps": ((1, -1),), "values": {(0,): 1}, "degree": 0}
+
+
+def _without(others: dict, parameter: str) -> dict:
+    return {k: v for k, v in others.items() if k != parameter}
 
 
 def _pair(v):
-    return (2, v)  # a bad wall index rides next to a good one
+    return (2, v)  # a bad element (wall index, part, entry) rides next to a good one
 
 
 SWEEP = [
     Row(partitions_of, "d", 3, {}, "d"),
+    Row(Partition, "parts", 2, {}, "part", low=1, place=_pair),
     Row(compositions, "total", 2, {"parts": 2}, "total"),
     Row(compositions, "parts", 2, {"total": 2}, "parts"),
     Row(monomials_up_to_degree, "num_vars", 2, {"degree": 2}, "num_vars"),
     Row(monomials_up_to_degree, "degree", 2, {"num_vars": 2}, "degree"),
     Row(MultiPoly, "n", 3, {}, "n", low=2),
-    Row(newton_interpolate, "degree", 0, LINE, "degree"),
+    Row(MultiPoly, "terms", 1, {"n": 2}, "exponent", place=lambda v: {(v,): 1}),
+    Row(newton_interpolate, "degree", 0, _without(LINE, "degree"), "degree"),
+    Row(newton_interpolate, "base", -2, _without(LINE, "base"), "base entry", low=None,
+        place=_pair),
+    Row(newton_interpolate, "steps", -2, _without(LINE, "steps"), "step entry", low=None,
+        place=lambda v: (_pair(v),)),
     Row(simple_branch_count, "g", 0, {"n": 3}, "genus", error=InvalidProfileError),
     Row(simple_branch_count, "n", 3, {"g": 0}, "n", error=InvalidProfileError),
     Row(enumeration_size, "d", 3, {"r": 1}, "d"),
@@ -125,8 +135,6 @@ SWEEP = [
     Row(enumerate_profiles, "max_degree", 2, {"n": 2}, "max_degree"),
     Row(Wall, "indices", 3, {"n": 5}, "wall index", low=None, place=_pair),
     Row(Wall, "n", 5, {"indices": (2,)}, "n", low=2),
-    Row(Wall.canonical, "indices", 3, {"n": 5}, "wall index", low=None, place=_pair),
-    Row(Wall.canonical, "n", 5, {"indices": (2,)}, "n", low=2),
     Row(walls, "n", 3, {}, "n", low=2),
     Row(ChamberSignature, "n", 3, {"signs": (1, 1, 1)}, "n", low=2),
     Row(chamber_nodes, "degree", 2, {"witness": WITNESS, "held_out": 2}, "degree"),

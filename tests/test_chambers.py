@@ -19,6 +19,7 @@ from hurwitzlab.chambers import (
 )
 from hurwitzlab.errors import (
     AdjacencyNotFoundError,
+    DimensionMismatchError,
     OnWallError,
     SamplingBudgetExceededError,
 )
@@ -49,16 +50,22 @@ def test_wall_counts():
 
 
 def test_wall_canonicalization_takes_complement():
-    assert Wall.canonical((1, 3, 4), 5).indices == (2, 5)
-    assert Wall.canonical((2, 5), 5).indices == (2, 5)
+    assert Wall((1, 3, 4), 5).indices == (2, 5)
+    assert Wall((2, 5), 5).indices == (2, 5)
+
+
+def test_wall_takes_either_representative_in_any_order():
+    assert Wall((1, 3, 4), 5) == Wall((2, 5), 5) == Wall((4, 1, 3), 5)
+    assert Wall((5, 2), 5).indices == (2, 5)
+    assert walls(5).index(Wall((1, 3, 4), 5)) == walls(5).index(Wall((2, 5), 5))
 
 
 def test_wall_rejects_improper_subsets():
-    with pytest.raises(ValueError):
-        Wall.canonical((), 4)
-    with pytest.raises(ValueError):
-        Wall.canonical((1, 2, 3, 4), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a proper nonempty subset of 1\.\.4: \(\)$"):
+        Wall((), 4)
+    with pytest.raises(ValueError, match="not a proper nonempty subset"):
+        Wall((1, 2, 3, 4), 4)
+    with pytest.raises(ValueError, match=r"^wall indices out of range 1\.\.5: \(2, 7\)$"):
         Wall((2, 7), 5)
 
 
@@ -66,11 +73,11 @@ def test_wall_rejects_improper_subsets():
 def test_wall_canonical_checks_the_range_before_complementing(indices):
     # complementing first would drop the stray index and return [2,3,4,5]
     with pytest.raises(ValueError, match=r"out of range 1\.\.5"):
-        Wall.canonical(indices, 5)
+        Wall(indices, 5)
 
 
 def test_wall_form_is_the_subset_sum():
-    wall = Wall.canonical((2, 5), 5)
+    wall = Wall((2, 5), 5)
     for point in ((9, 4, -5, -5, -3), (7, 1, -2, -3, -3)):
         assert wall.form().evaluate(point) == point[1] + point[4]
     assert str(wall) == "[2,5]"
@@ -121,11 +128,14 @@ def test_example_pair_differs_exactly_at_one_wall():
 
 
 def test_witness_validation():
+    # the signature is derived from the point, never passed in
     witness = ChamberWitness.at(EXAMPLE_C1)
     assert witness.signature == signature(EXAMPLE_C1)
-    wrong = signature(EXAMPLE_C2)
-    with pytest.raises(ValueError):
-        ChamberWitness(EXAMPLE_C1, wrong)
+    assert ChamberWitness(EXAMPLE_C2).signature == signature(EXAMPLE_C2)
+    with pytest.raises(TypeError):
+        ChamberWitness(EXAMPLE_C1, signature(EXAMPLE_C2))
+    with pytest.raises(OnWallError):
+        ChamberWitness(RamificationProfile((4, 1, -1, -1, -3)))
 
 
 # -- fit nodes -------------------------------------------------------------------
@@ -353,7 +363,7 @@ def test_every_small_chamber_gets_a_full_step_basis():
 
 def test_adjacent_chamber_documented_wall():
     witness = ChamberWitness.at(EXAMPLE_C1)
-    wall = Wall.canonical((2, 5), 5)
+    wall = Wall((2, 5), 5)
     other = adjacent_chamber(witness, wall)
     differing = witness.signature.differing_walls(other.signature)
     assert [w.indices for w in differing] == [(2, 5)]
@@ -363,7 +373,7 @@ def test_adjacent_chamber_documented_wall():
 
 def test_adjacent_chamber_two_parts():
     witness = ChamberWitness.at(RamificationProfile((1, -1)))
-    other = adjacent_chamber(witness, Wall.canonical((2,), 2))
+    other = adjacent_chamber(witness, Wall((2,), 2))
     assert other.point.x == (-1, 1)
     assert other.signature.signs == (1,)
 
@@ -372,7 +382,14 @@ def test_adjacent_chamber_infeasible_flip():
     # x2 is the only positive entry: x2 < 0 with x2 + x3 > 0 cannot happen
     witness = ChamberWitness.at(RamificationProfile((-1, 3, -2)))
     with pytest.raises(AdjacencyNotFoundError):
-        adjacent_chamber(witness, Wall.canonical((2,), 3))
+        adjacent_chamber(witness, Wall((2,), 3))
+
+
+def test_adjacent_chamber_rejects_a_wall_of_another_dimension():
+    witness = ChamberWitness.at(EXAMPLE_C1)
+    message = r"^wall \[2\] is for n=4, point \(7,1,-2,-3,-3\) has n=5$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        adjacent_chamber(witness, Wall((2,), 4))
 
 
 def test_adjacent_chamber_matches_the_scaled_search():
@@ -437,7 +454,7 @@ def test_adjacent_chamber_on_every_five_part_chamber():
 
 def test_signature_flip_helper():
     sig = signature(EXAMPLE_C1)
-    wall = Wall.canonical((2, 5), 5)
+    wall = Wall((2, 5), 5)
     flipped = sig.flipped(wall)
     assert sign_at(flipped, wall) == -sign_at(sig, wall)
     assert [w.indices for w in sig.differing_walls(flipped)] == [(2, 5)]

@@ -258,6 +258,15 @@ def test_newton_rejects_bad_lattices():
         newton_interpolate((2, 1, -2), [(1, 0, -1), (0, 1, -1)], values, 1)
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, "1", None])
+def test_coefficients_and_values_must_be_exact(bad):
+    # a float would enter as its binary fraction, a string would be parsed
+    with pytest.raises(ValueError, match="^coefficient must be an int or a Fraction, got "):
+        MultiPoly(2, {(1,): bad})
+    with pytest.raises(ValueError, match="^value must be an int or a Fraction, got "):
+        newton_interpolate((1, -1), ((1, -1),), {(0,): bad, (1,): 2}, 1)
+
+
 def test_interpolate_inconsistent_constant():
     points = [(1, -1), (2, -2), (3, -3)]
     with pytest.raises(InconsistentSystemError):

@@ -11,11 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzlab.errors import (
-    BudgetExceededError,
-    InvalidProfileError,
-    NegativeBranchCountError,
-)
+from hurwitzlab.errors import BudgetExceededError, InvalidProfileError
 from hurwitzlab.hurwitz import (
     RamificationProfile,
     enumeration_size,
@@ -75,7 +71,8 @@ def test_simple_branch_count_values():
 
 
 def test_simple_branch_count_negative():
-    with pytest.raises(NegativeBranchCountError):
+    # n >= 2 with g >= 0 keeps r = 2g - 2 + n nonnegative: n = 1 is refused
+    with pytest.raises(InvalidProfileError, match="^n must be at least 2, got 1$"):
         simple_branch_count(0, 1)
 
 

@@ -14,6 +14,7 @@ from hurwitzlab import piecewise
 
 from hurwitzlab.chambers import ChamberWitness, Wall, adjacent_chamber, chamber_nodes
 from hurwitzlab.errors import (
+    DimensionMismatchError,
     NotAdjacentError,
     NotPolynomialError,
     UnstableCaseError,
@@ -273,7 +274,7 @@ def test_default_oracle_budget_runs_both_spot_checks(monkeypatch, entries, g):
 @pytest.fixture(scope="module")
 def n4_crossing():
     witness = _witness(3, 1, -2, -2)
-    wall = Wall.canonical((2, 4), 4)
+    wall = Wall((2, 4), 4)
     other = adjacent_chamber(witness, wall)
     near = fit_chamber(witness, 0)
     far = fit_chamber(other, 0)
@@ -313,12 +314,22 @@ def test_wall_crossing_vanishes_on_the_wall(n4_crossing):
 
 
 def test_crossing_blocks_at_example_point():
-    wall = Wall.canonical((2, 5), 5)
+    wall = Wall((2, 5), 5)
     q = RamificationProfile((9, 4, -5, -5, -3))
     block_i, block_c, delta = crossing_blocks(wall, q)
     assert delta == 1
     assert block_i.x == (4, -3, -1)
     assert block_c.x == (9, -5, -5, 1)
+
+
+@pytest.mark.parametrize("indices, n", [((2,), 6), ((2,), 4), ((2, 5), 6)])
+def test_crossing_blocks_rejects_a_wall_of_another_dimension(indices, n):
+    x = RamificationProfile((7, 1, -2, -3, -3))
+    message = f"^wall {re.escape(str(Wall(indices, n)))} is for n={n}, point .* has n=5$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        crossing_blocks(Wall(indices, n), x)
+    with pytest.raises(DimensionMismatchError, match=message):
+        product_formula_report(Wall(indices, n), x)
 
 
 def test_three_point_block_counts_are_one():
@@ -327,7 +338,7 @@ def test_three_point_block_counts_are_one():
 
 
 def test_product_formula_requires_positive_side():
-    wall = Wall.canonical((2, 5), 5)
+    wall = Wall((2, 5), 5)
     p = RamificationProfile((7, 1, -2, -3, -3))  # x2 + x5 = -2
     with pytest.raises(ValueError):
         product_formula_report(wall, p)
@@ -341,7 +352,7 @@ def test_product_formula_counts_each_block_once(monkeypatch):
         return frobenius_connected(p, g)
 
     monkeypatch.setattr(piecewise, "frobenius_connected", counting)
-    product_formula_report(Wall.canonical((2, 5), 5), RamificationProfile((9, 4, -5, -5, -3)))
+    product_formula_report(Wall((2, 5), 5), RamificationProfile((9, 4, -5, -5, -3)))
     assert counted == [(4, -3, -1), (9, -5, -5, 1)]
 
 
@@ -354,7 +365,7 @@ def test_convention_catalogue():
         "-C(r,r1)",
         "-C(r-1,r2)",
     ]
-    wall = Wall.canonical((2, 5), 5)
+    wall = Wall((2, 5), 5)
     q = RamificationProfile((9, 4, -5, -5, -3))
     report = product_formula_report(wall, q)
     assert list(report) == list(CONVENTIONS)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -102,6 +103,27 @@ def test_z_lambda_full_cycle():
 
 def test_z_lambda_two_one():
     assert z_lambda(Partition((2, 1))) == 2
+
+
+def test_partition_takes_parts_in_any_order():
+    assert Partition((1, 2, 1)) == Partition((2, 1, 1))
+    assert Partition((1, 2, 1)).parts == (2, 1, 1)
+    assert Partition(iter((3, 1, 2))).parts == (3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((0,), "part must be positive, got 0"),
+        ((2, -1), "part must be positive, got -1"),
+        ((2.0,), "part must be an integer, got 2.0"),
+        ((2.5,), "part must be an integer, got 2.5"),
+        ((True,), "part must be an integer, got True"),
+    ],
+)
+def test_partition_checks_each_part(parts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Partition(parts)
 
 
 def test_empty_partition_base_case():
