@@ -79,40 +79,6 @@ def walls(n: int) -> tuple[Wall, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChamberSignature:
-    """Signs of every canonical subset sum, in the order of walls(n)."""
-
-    n: int
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.signs) != len(walls(self.n)):
-            raise ValueError(
-                f"expected {len(walls(self.n))} signs for n={self.n}, got {len(self.signs)}"
-            )
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signature signs must be +1 or -1")
-
-    def flipped(self, wall: Wall) -> ChamberSignature:
-        idx = walls(self.n).index(wall)
-        signs = list(self.signs)
-        signs[idx] = -signs[idx]
-        return ChamberSignature(self.n, tuple(signs))
-
-    def differing_walls(self, other: ChamberSignature) -> list[Wall]:
-        if self.n != other.n:
-            raise ValueError("signatures live in different dimensions")
-        return [
-            wall
-            for wall, a, b in zip(walls(self.n), self.signs, other.signs)
-            if a != b
-        ]
-
-    def __str__(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
-
-
 @lru_cache(maxsize=None)
 def _wall_recipe(n: int) -> tuple[tuple[int, int], ...]:
     """Per wall of walls(n): the 1-based position of the wall without its
@@ -133,35 +99,40 @@ def _wall_sums(x: tuple[int, ...], n: int) -> list[int]:
     return sums[1:]
 
 
-def _signs_of(x: tuple[int, ...], n: int) -> tuple[int, ...]:
-    signs = tuple((s > 0) - (s < 0) for s in _wall_sums(x, n))
-    if 0 in signs:
-        raise OnWallError(walls(n)[signs.index(0)])
-    return signs
-
-
-def signature(profile: RamificationProfile) -> ChamberSignature:
-    """Sign vector of the profile over all canonical walls.
+@dataclass(frozen=True)
+class ChamberWitness:
+    """A lattice point and the signs of its canonical subset sums, in the
+    order of walls(n), derived from it: the signs name the point's chamber.
 
     Raises OnWallError naming the first wall (in canonical order) whose
     subset sum vanishes.
     """
-    return ChamberSignature(profile.n, _signs_of(profile.x, profile.n))
-
-
-@dataclass(frozen=True)
-class ChamberWitness:
-    """A lattice point together with its chamber signature, derived from it."""
 
     point: RamificationProfile
-    signature: ChamberSignature = field(init=False)
+    signs: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "signature", signature(self.point))
+        n = self.point.n
+        signs = tuple((s > 0) - (s < 0) for s in _wall_sums(self.point.x, n))
+        if 0 in signs:
+            raise OnWallError(walls(n)[signs.index(0)])
+        object.__setattr__(self, "signs", signs)
 
     @classmethod
     def at(cls, profile: RamificationProfile) -> ChamberWitness:
         return cls(profile)
+
+    @property
+    def signature(self) -> str:
+        return "".join("+" if s > 0 else "-" for s in self.signs)
+
+    def differing_walls(self, other: ChamberWitness) -> list[Wall]:
+        n = self.point.n
+        if other.point.n != n:
+            raise DimensionMismatchError(
+                f"point {other.point} has n={other.point.n}, point {self.point} has n={n}"
+            )
+        return [wall for wall, a, b in zip(walls(n), self.signs, other.signs) if a != b]
 
 
 def _is_valid_sample(candidate: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
@@ -256,7 +227,7 @@ def chamber_nodes(
     count_argument("held_out", held_out)
     count_argument("budget", budget)
     n = witness.point.n
-    target = witness.signature.signs
+    target = witness.signs
     spent = 0
 
     def spend() -> None:
@@ -332,7 +303,7 @@ def chamber_nodes(
 
 
 def adjacent_chamber(witness: ChamberWitness, wall: Wall) -> ChamberWitness:
-    """A witness across `wall` alone: the signature with that sign flipped.
+    """A witness across `wall` alone: the signs with that one reversed.
 
     With s the wall's sum at x and dir = -sign(s), every wall sum moves by -1,
     0 or +1 per unit along e_i - e_l (i in the wall set, l outside it).  The
@@ -341,8 +312,8 @@ def adjacent_chamber(witness: ChamberWitness, wall: Wall) -> ChamberWitness:
     x + (|s| + 1) dir (e_i - e_l) cross `wall` alone; a gap of 1 needs 2x:
     2x + (2|s| + 1) dir (e_i - e_l).  One pass over the pairs takes the first
     with gap >= 2, else the first with gap 1.  Only these directions from x
-    are looked at: a flip reachable only some other way, or not at all (the
-    flipped sign vector can cut out nothing), raises AdjacencyNotFoundError.
+    are looked at: a flip reachable only some other way, or not at all (no
+    chamber has that sign vector), raises AdjacencyNotFoundError.
     """
     n = witness.point.n
     if wall.n != n:
@@ -370,6 +341,6 @@ def adjacent_chamber(witness: ChamberWitness, wall: Wall) -> ChamberWitness:
     point[i - 1] += t
     point[l - 1] -= t
     other = ChamberWitness.at(RamificationProfile(tuple(point)))
-    if other.signature != witness.signature.flipped(wall):
+    if witness.differing_walls(other) != [wall]:
         raise AssertionError(f"{other.point} is not across {wall} alone from {x}")
     return other

@@ -47,7 +47,7 @@ class ChamberPolynomial:
     def to_json_dict(self) -> dict:
         return {
             "witness": list(self.witness.point.x),
-            "signature": str(self.witness.signature),
+            "signature": self.witness.signature,
             "g": self.genus,
             "degree_bound": self.degree_bound,
             "polynomial": self.polynomial.to_json_dict(),
@@ -153,7 +153,7 @@ def wall_crossing(
         raise NotAdjacentError("chamber fits live in different dimensions")
     if c1.genus != c2.genus:
         raise NotAdjacentError("chamber fits have different genera")
-    differing = c1.witness.signature.differing_walls(c2.witness.signature)
+    differing = c1.witness.differing_walls(c2.witness)
     if differing != [wall]:
         raise NotAdjacentError(
             f"signatures differ at {[str(w) for w in differing]}, expected exactly [{wall}]"

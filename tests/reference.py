@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from hurwitzlab.chambers import (
-    ChamberSignature,
     ChamberWitness,
     Wall,
     _is_valid_sample,
@@ -176,10 +175,6 @@ def poly_from_json(data: Mapping) -> MultiPoly:
         for key, value in data["terms"].items()
     }
     return MultiPoly(int(data["n"]), terms)
-
-
-def sign_at(sig: ChamberSignature, wall: Wall) -> int:
-    return sig.signs[walls(sig.n).index(wall)]
 
 
 @dataclass(frozen=True)
@@ -387,21 +382,21 @@ def oracle_tuples(profile: RamificationProfile, g: int) -> tuple[int, int]:
 
 
 def adjacent_by_search(witness: ChamberWitness, wall: Wall, budget: int) -> ChamberWitness:
-    """Search for a witness whose signature flips exactly at `wall`.
+    """Search for a witness whose signs differ from its own at `wall` alone.
 
     Scales the base point to create room, then moves along e_i - e_l with i
     in the wall set and l outside it, scanning step sizes just past the sign
     change of the target subset sum; each candidate is checked for a full
-    one-flip signature match.  Not every flip is realizable (the flipped sign
-    vector can be empty), in which case the budget runs out and a structured
-    error is raised.
+    one-flip sign match.  Not every flip is realizable (the sign vector with
+    that sign reversed can be empty), in which case the budget runs out and a
+    structured error is raised.
     """
     n = witness.point.n
     if wall not in walls(n):
         raise ValueError(f"{wall} is not a canonical wall for n={n}")
     base_sum = wall.subset_sum(witness.point.x)
     direction = -1 if base_sum > 0 else 1
-    target = witness.signature.flipped(wall).signs
+    target = tuple(-s if w == wall else s for w, s in zip(walls(n), witness.signs))
     inside = list(wall.indices)
     outside = list(wall.complement())
     spent = 0
@@ -424,7 +419,7 @@ def adjacent_by_search(witness: ChamberWitness, wall: Wall, budget: int) -> Cham
                     if _is_valid_sample(candidate_t, n, target):
                         return ChamberWitness.at(RamificationProfile(candidate_t))
     raise AdjacencyNotFoundError(
-        f"no point with the signature flipped at {wall} found within {budget} candidates"
+        f"no point with the sign of {wall} reversed found within {budget} candidates"
     )
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzlab.chambers import ChamberWitness, Wall, signature
+from hurwitzlab.chambers import ChamberWitness, Wall
 from hurwitzlab.cli import run_selftest
 from hurwitzlab.exact import poly_divmod
 from hurwitzlab.hurwitz import (
@@ -46,7 +46,7 @@ def example_pair():
     p = RamificationProfile(P_POINT)
     q = RamificationProfile(Q_POINT)
     # re-derive the chamber facts before trusting the targets
-    assert [w.indices for w in signature(p).differing_walls(signature(q))] == [(2, 5)]
+    assert [w.indices for w in ChamberWitness(p).differing_walls(ChamberWitness(q))] == [(2, 5)]
     started = time.perf_counter()
     fit_p = fit_chamber(ChamberWitness.at(p), 0)
     fit_q = fit_chamber(ChamberWitness.at(q), 0)
@@ -63,7 +63,7 @@ def genus0_matrix(example_pair):
     fits = [fit_p, fit_q]
     for entries in witnesses4 + witnesses5:
         fits.append(fit_chamber(ChamberWitness.at(RamificationProfile(entries)), 0))
-    signatures = {(f.witness.point.n, str(f.witness.signature)) for f in fits}
+    signatures = {(f.witness.point.n, f.witness.signature) for f in fits}
     assert len(signatures) == len(fits), "matrix chambers must be pairwise distinct"
     return fits
 

@@ -30,7 +30,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import hurwitzlab  # noqa: E402
 from hurwitzlab import cli, errors  # noqa: E402
 from hurwitzlab.chambers import (  # noqa: E402
-    ChamberSignature,
     ChamberWitness,
     Wall,
     chamber_nodes,
@@ -136,7 +135,6 @@ SWEEP = [
     Row(Wall, "indices", 3, {"n": 5}, "wall index", low=None, place=_pair),
     Row(Wall, "n", 5, {"indices": (2,)}, "n", low=2),
     Row(walls, "n", 3, {}, "n", low=2),
-    Row(ChamberSignature, "n", 3, {"signs": (1, 1, 1)}, "n", low=2),
     Row(chamber_nodes, "degree", 2, {"witness": WITNESS, "held_out": 2}, "degree"),
     Row(chamber_nodes, "held_out", 2, {"witness": WITNESS, "degree": 2}, "held_out"),
     Row(chamber_nodes, "budget", 100, {"witness": WITNESS, "degree": 2, "held_out": 2},

@@ -1,4 +1,5 @@
-"""Tests for walls, signatures, chamber sampling, and adjacent chambers."""
+"""Tests for walls, chamber witnesses (a point and the wall signs derived from
+it), chamber sampling, and adjacent chambers."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from hurwitzlab.chambers import (
     Wall,
     adjacent_chamber,
     chamber_nodes,
-    signature,
     walls,
 )
 from hurwitzlab.errors import (
@@ -32,7 +32,6 @@ from reference import (
     determinant,
     random_witness,
     raw_terms_poly,
-    sign_at,
     term_map,
 )
 
@@ -100,14 +99,14 @@ def test_wall_form_matches_the_expanded_subset_sum(n):
 
 
 def test_signature_small_examples():
-    assert signature(RamificationProfile((2, 1, -3))).signs == (1, -1, -1)
-    assert signature(RamificationProfile((1, 1, -2))).signs == (1, -1, -1)
-    assert str(signature(RamificationProfile((2, 1, -3)))) == "+--"
+    assert ChamberWitness(RamificationProfile((2, 1, -3))).signs == (1, -1, -1)
+    assert ChamberWitness(RamificationProfile((1, 1, -2))).signs == (1, -1, -1)
+    assert ChamberWitness(RamificationProfile((2, 1, -3))).signature == "+--"
 
 
 def test_signature_on_wall_identifies_first_vanishing():
     with pytest.raises(OnWallError) as err:
-        signature(RamificationProfile((4, 1, -1, -1, -3)))
+        ChamberWitness(RamificationProfile((4, 1, -1, -1, -3)))
     assert err.value.wall.indices == (2, 3)
 
 
@@ -115,25 +114,35 @@ def test_signature_scaling_invariance():
     rng = random.Random(41)
     profiles = [(2, 1, -3), (7, 1, -2, -3, -3), (3, -1, -2)]
     for entries in profiles:
-        base = signature(RamificationProfile(entries))
+        base = ChamberWitness(RamificationProfile(entries))
         for _ in range(5):
             k = rng.randint(2, 20)
             scaled = RamificationProfile(tuple(k * v for v in entries))
-            assert signature(scaled) == base
+            assert ChamberWitness(scaled).signs == base.signs
 
 
 def test_example_pair_differs_exactly_at_one_wall():
-    sig1, sig2 = signature(EXAMPLE_C1), signature(EXAMPLE_C2)
-    assert [w.indices for w in sig1.differing_walls(sig2)] == [(2, 5)]
+    c1, c2 = ChamberWitness(EXAMPLE_C1), ChamberWitness(EXAMPLE_C2)
+    assert [w.indices for w in c1.differing_walls(c2)] == [(2, 5)]
+    assert [w.indices for w in c2.differing_walls(c1)] == [(2, 5)]
+    assert c1.differing_walls(ChamberWitness(RamificationProfile((14, 2, -4, -6, -6)))) == []
+
+
+def test_differing_walls_rejects_a_witness_of_another_dimension():
+    four = ChamberWitness(RamificationProfile((3, 1, -2, -2)))
+    message = r"^point \(3,1,-2,-2\) has n=4, point \(7,1,-2,-3,-3\) has n=5$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        ChamberWitness(EXAMPLE_C1).differing_walls(four)
 
 
 def test_witness_validation():
-    # the signature is derived from the point, never passed in
+    # the signs are derived from the point, never passed in
     witness = ChamberWitness.at(EXAMPLE_C1)
-    assert witness.signature == signature(EXAMPLE_C1)
-    assert ChamberWitness(EXAMPLE_C2).signature == signature(EXAMPLE_C2)
+    assert witness == ChamberWitness(EXAMPLE_C1)
+    assert witness.signs == (1,) + (-1,) * 14
+    assert witness.signature == "+" + "-" * 14
     with pytest.raises(TypeError):
-        ChamberWitness(EXAMPLE_C1, signature(EXAMPLE_C2))
+        ChamberWitness(EXAMPLE_C1, ChamberWitness(EXAMPLE_C2).signs)
     with pytest.raises(OnWallError):
         ChamberWitness(RamificationProfile((4, 1, -1, -1, -3)))
 
@@ -165,7 +174,7 @@ def _small_chambers(n: int) -> list[ChamberWitness]:
             witness = ChamberWitness.at(RamificationProfile(point))
         except OnWallError:
             continue
-        chambers.setdefault(witness.signature, witness)
+        chambers.setdefault(witness.signs, witness)
     return list(chambers.values())
 
 
@@ -184,7 +193,7 @@ def test_sample_points_share_the_signature():
         assert len({p.x for p in points}) == len(points)
         assert design.base.degree <= witness.point.degree
         for p in points:
-            assert signature(p) == witness.signature
+            assert ChamberWitness(p).signs == witness.signs
         for a, p in design.nodes:
             assert p.x == tuple(
                 b + sum(k * step[j] for k, step in zip(a, design.steps))
@@ -239,7 +248,7 @@ def test_base_slides_down_to_a_low_point():
     witnesses += _small_chambers(4)
     for i, witness in enumerate(witnesses):
         base = chamber_nodes(witness, 0, 0).base
-        assert signature(base) == witness.signature
+        assert ChamberWitness(base).signs == witness.signs
         bound = EXAMPLE_C1.degree - 1 if i < 2 else witness.point.degree
         assert base.degree <= bound
         # no unit step with the base's signs leads further down inside the chamber
@@ -252,7 +261,7 @@ def test_base_slides_down_to_a_low_point():
             if 0 in lower:
                 continue
             try:
-                assert signature(RamificationProfile(lower)) != witness.signature
+                assert ChamberWitness(RamificationProfile(lower)).signs != witness.signs
             except OnWallError:
                 pass
 
@@ -268,7 +277,7 @@ def test_step_matrix_is_invertible_and_in_the_closed_cone(entries):
     assert determinant(_step_matrix(design.steps)) != 0
     for step in design.steps:
         assert sum(step) == 0
-        for wall, want in zip(walls(n), witness.signature.signs):
+        for wall, want in zip(walls(n), witness.signs):
             assert wall.subset_sum(step) * want >= 0
 
 
@@ -290,7 +299,7 @@ def test_closed_cone_steps_carry_the_chamber_signs():
     for n in (3, 4, 5, 6):
         for _ in range(4):
             witness = random_witness(rng, n, 9)
-            target = witness.signature.signs
+            target = witness.signs
             for radius in (1, 2):
                 whole = [
                     v for v in box_vectors(n, radius)
@@ -365,17 +374,16 @@ def test_adjacent_chamber_documented_wall():
     witness = ChamberWitness.at(EXAMPLE_C1)
     wall = Wall((2, 5), 5)
     other = adjacent_chamber(witness, wall)
-    differing = witness.signature.differing_walls(other.signature)
-    assert [w.indices for w in differing] == [(2, 5)]
+    assert [w.indices for w in witness.differing_walls(other)] == [(2, 5)]
     # lands on the same side as the documented second chamber point
-    assert other.signature == signature(EXAMPLE_C2)
+    assert other.signs == ChamberWitness(EXAMPLE_C2).signs
 
 
 def test_adjacent_chamber_two_parts():
     witness = ChamberWitness.at(RamificationProfile((1, -1)))
     other = adjacent_chamber(witness, Wall((2,), 2))
     assert other.point.x == (-1, 1)
-    assert other.signature.signs == (1,)
+    assert other.signs == (1,)
 
 
 def test_adjacent_chamber_infeasible_flip():
@@ -437,13 +445,13 @@ def test_adjacent_chamber_on_every_five_part_chamber():
     # one of them, and then the closed form lands in it
     witnesses = _every_chamber(5, 370)
     assert len(witnesses) == 370
-    signatures = {witness.signature for witness in witnesses}
+    existing = {witness.signs for witness in witnesses}
     found = missing = 0
     for witness in witnesses:
         for wall in walls(5):
-            target = witness.signature.flipped(wall)
-            if target in signatures:
-                assert adjacent_chamber(witness, wall).signature == target
+            target = tuple(-s if w == wall else s for w, s in zip(walls(5), witness.signs))
+            if target in existing:
+                assert adjacent_chamber(witness, wall).signs == target
                 found += 1
             else:
                 with pytest.raises(AdjacencyNotFoundError):
@@ -451,10 +459,3 @@ def test_adjacent_chamber_on_every_five_part_chamber():
                 missing += 1
     assert (found, missing) == (1520, 4030)
 
-
-def test_signature_flip_helper():
-    sig = signature(EXAMPLE_C1)
-    wall = Wall((2, 5), 5)
-    flipped = sig.flipped(wall)
-    assert sign_at(flipped, wall) == -sign_at(sig, wall)
-    assert [w.indices for w in sig.differing_walls(flipped)] == [(2, 5)]

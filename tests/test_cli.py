@@ -174,19 +174,61 @@ def test_cache_verify_appends_only_on_miss(tmp_path):
 
 
 # unparsable; negative; parses but is not integral (1/3 times the product 2
-# of the positive parts)
-@pytest.mark.parametrize("bad_value", ["banana", "-1", "1/3"])
-def test_cache_damaged_record_is_recomputed(tmp_path, bad_value):
-    reason = {"banana": "unparsable", "-1": "negative", "1/3": "integrality"}[bad_value]
+# of the positive parts); nonzero for a degree-1 cover with branch points
+@pytest.mark.parametrize(
+    "g, x, key, bad_value, reason, count",
+    [
+        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "banana", "unparsable", "1"),
+        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "-1", "negative", "1"),
+        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "1/3", "integrality", "1"),
+        (
+            "1", "1,-1", "g=1;pos=1;neg=-1", "5",
+            "degree-1 cover with r=2 must count 0, got 5", "0",
+        ),
+    ],
+    ids=["banana", "-1", "1/3", "degree-1"],
+)
+def test_cache_damaged_record_is_recomputed(tmp_path, g, x, key, bad_value, reason, count):
     cache = tmp_path / "cache.jsonl"
-    record = {"key": "g=0;pos=2;neg=-1,-1", "value": bad_value, "method": "frobenius"}
+    record = {"key": key, "value": bad_value, "method": "frobenius"}
     cache.write_text(json.dumps(record) + "\n")
-    proc = _run("compute", "-g", "0", "-x", "2,-1,-1", "--cache", str(cache))
+    proc = _run("compute", "-g", g, "-x", x, "--cache", str(cache))
     assert proc.returncode == 0
     payload = _stdout_json(proc)
-    assert payload["value"] == "1"
+    assert payload["value"] == count
     assert "cached" not in payload
-    assert f"ignoring cache record for g=0;pos=2;neg=-1,-1: {reason}" in proc.stderr
+    assert f"ignoring cache record for {key}: {reason}" in proc.stderr
+
+
+def test_cache_mismatch_on_verify_exits_1(tmp_path, capsys):
+    from hurwitzlab import cli
+
+    # a well-formed record that passes the invariants, but not the count 6
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({"key": "g=0;pos=3,1;neg=-2,-2", "value": "7"}) + "\n")
+    argv = ["compute", "-g", "0", "-x", "3,1,-2,-2", "--verify", "--cache", str(cache)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    detail = "cache holds 7 but recomputation gives 6"
+    assert (out, err) == ("", f'{{"error": "CACHE_MISMATCH", "detail": "{detail}"}}\n')
+    assert len(cache.read_text().splitlines()) == 1
+
+
+def test_method_mismatch_exits_1(monkeypatch, capsys):
+    from hurwitzlab import cli
+
+    real = cli.frobenius_connected
+
+    def off_by_one(profile, g):
+        result = real(profile, g)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(cli, "frobenius_connected", off_by_one)
+    argv = ["compute", "-g", "0", "-x", "3,1,-2,-2", "--method", "both", "--no-cache"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    detail = "oracle gives 6, character sum gives 7"
+    assert (out, err) == ("", f'{{"error": "METHOD_MISMATCH", "detail": "{detail}"}}\n')
 
 
 # JSON values that cache_append never writes: a boolean, a number, and a
@@ -535,11 +577,24 @@ _WALLCROSS_PAYLOADS = [
         '"factored":"(x2) * (-2*x1^2*x2^2 - x1*x2^3 + 2*x1^2 + x1*x2)"}\n',
         "",
     ),
+    # from the positive side of the wall: the crossing and its factor change
+    # sign, the product formula's value does not
+    (
+        ("-g", "0", "-x", "9,2,-4,-6,-1", "--wall", "2,5"),
+        '{"wall":[2,5],"polynomial":{"n":5,"terms":{"2,0,0,0":"6","1,0,1,0":"6",'
+        '"1,0,0,1":"6"}},"display":"6*x1^2 + 6*x1*x3 + 6*x1*x4",'
+        '"witness_from":[9,2,-4,-6,-1],"witness_to":[11,2,-4,-6,-3],'
+        '"factored":"(x2 + x5) * (-6*x1)","product_formula":{"point":[9,2,-4,-6,-1],'
+        '"wc_value":"54","conventions":{"C(r-1,r1)":"36","C(r,r1)":"54",'
+        '"C(r-1,r2)":"18","-C(r-1,r1)":"-36","-C(r,r1)":"-54","-C(r-1,r2)":"-18"},'
+        '"matching":["C(r,r1)"]}}\n',
+        "",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, payload, notice", _WALLCROSS_PAYLOADS, ids=["2,5", "1,3,4", "g1"]
+    "args, payload, notice", _WALLCROSS_PAYLOADS, ids=["2,5", "1,3,4", "g1", "positive-side"]
 )
 def test_wallcross_payloads_are_pinned(capsys, args, payload, notice):
     from hurwitzlab import cli

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
@@ -285,6 +286,9 @@ def test_wall_crossing_requires_adjacency(n4_crossing):
     wall, near, _ = n4_crossing
     with pytest.raises(NotAdjacentError):
         wall_crossing(near, near, wall)
+    five = dataclasses.replace(near, witness=_witness(7, 1, -2, -3, -3))
+    with pytest.raises(NotAdjacentError, match="^chamber fits live in different dimensions$"):
+        wall_crossing(near, five, wall)
 
 
 def test_wall_crossing_antisymmetry(n4_crossing):
