@@ -105,11 +105,10 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def cache_key(g: int, profile: RamificationProfile) -> str:
     count_argument("genus", g, error=InvalidProfileError)
-    pos = sorted(profile.positives(), reverse=True)
-    neg = sorted(profile.negatives())
-    return (
-        f"g={g};pos={','.join(map(str, pos))};neg={','.join(map(str, neg))}"
-    )
+    alpha, beta = profile.sides()
+    pos = ",".join(map(str, alpha.parts))
+    neg = ",".join(str(-p) for p in beta.parts)
+    return f"g={g};pos={pos};neg={neg}"
 
 
 def cache_lookup(path: str, key: str) -> dict | None:
@@ -204,7 +203,7 @@ def cmd_compute(args) -> int:
                 ),
                 code="METHOD_MISMATCH",
             )
-        stats = {"oracle": payload["stats"], "frobenius": second.stats.to_json_dict()}
+        stats = {"oracle": payload["stats"], "frobenius": asdict(second.stats)}
         payload.update(method="both", stats=stats)
 
     if cached is not None and cached != result.value:
@@ -339,11 +338,12 @@ def _check_symmetry() -> tuple[bool, str]:
         for g in (0, 1):
             reference = None
             for perm in sorted(set(itertools.permutations(base))):
-                value = oracle_count(RamificationProfile(perm), g).value
+                profile = RamificationProfile(perm)
+                value = oracle_count(profile, g).value
                 if reference is None:
                     reference = value
                 elif value != reference:
-                    return False, f"H_{g}{perm} = {value} != {reference}"
+                    return False, f"H_{g}{profile} = {value} != {reference}"
                 cases += 1
     return True, f"{cases} relabeled evaluations invariant"
 

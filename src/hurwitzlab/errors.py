@@ -42,9 +42,9 @@ class OnWallError(HurwitzlabError):
 
     code = "ON_WALL"
 
-    def __init__(self, wall, message: str | None = None):
+    def __init__(self, wall):
         self.wall = wall
-        super().__init__(message or f"point lies on wall {wall}")
+        super().__init__(f"point lies on wall {wall}")
 
 
 class SamplingBudgetExceededError(HurwitzlabError):

@@ -17,6 +17,7 @@ differences in integers, with no linear system and one division per term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -39,18 +40,16 @@ def _exact(name: str, value) -> Fraction:
 
 
 def compositions(total: int, parts: int) -> Iterator[Exponents]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-
-    def gen(total: int, parts: int) -> Iterator[Exponents]:
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for head in range(total + 1):
-            for rest in gen(total - head, parts - 1):
-                yield (head,) + rest
-
-    return gen(count_argument("total", total), count_argument("parts", parts))
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order: stars and bars, with the bars at increasing slots."""
+    count_argument("total", total)
+    if count_argument("parts", parts) == 0:
+        return iter([()] if total == 0 else [])
+    slots = total + parts - 1
+    return (
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
+        for bars in itertools.combinations(range(slots), parts - 1)
+    )
 
 
 def monomials_up_to_degree(num_vars: int, degree: int) -> list[Exponents]:
@@ -87,14 +86,10 @@ class MultiPoly:
                 )
             value = _exact("coefficient", coeff)
             if value != 0:
-                clean[key] = clean.get(key, Fraction(0)) + value
+                clean[key] = value
         self.n = n
         self.terms = tuple(
-            sorted(
-                ((e, c) for e, c in clean.items() if c != 0),
-                key=lambda item: _grlex_key(item[0]),
-                reverse=True,
-            )
+            sorted(clean.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
         )
         self._over_lcm: tuple[int, list[tuple[Exponents, int]]] | None = None
 
@@ -201,8 +196,8 @@ def poly_divmod(p: MultiPoly, divisor: MultiPoly) -> tuple[MultiPoly, MultiPoly]
         coeff = work[exps]
         if all(a >= b for a, b in zip(exps, lead_exps)):
             q_exps = tuple(a - b for a, b in zip(exps, lead_exps))
-            q_coeff = coeff / lead_coeff
-            quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
+            # each quotient exponent is grlex below the one before it
+            q_coeff = quotient[q_exps] = coeff / lead_coeff
             # the leading term of work cancels exactly in this subtraction
             for d_exps, d_coeff in divisor.terms:
                 key = tuple(a + b for a, b in zip(q_exps, d_exps))

@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,7 +44,7 @@ class RamificationProfile:
 
     Positive entries are ramification orders over 0, absolute values of
     negative entries over infinity; the degree of the cover is the sum of the
-    positive entries.
+    positive entries.  ``sides`` splits it by ``_sides``, the one implementation.
     """
 
     x: tuple[int, ...]
@@ -70,19 +70,9 @@ class RamificationProfile:
     def degree(self) -> int:
         return sum(v for v in self.x if v > 0)
 
-    def positives(self) -> tuple[int, ...]:
-        return tuple(v for v in self.x if v > 0)
-
-    def negatives(self) -> tuple[int, ...]:
-        return tuple(v for v in self.x if v < 0)
-
-    def alpha(self) -> Partition:
-        """Cycle type over 0."""
-        return Partition(self.positives())
-
-    def beta(self) -> Partition:
-        """Cycle type over infinity."""
-        return Partition(-v for v in self.negatives())
+    def sides(self) -> tuple[Partition, Partition]:
+        """The cycle types (alpha, beta) over 0 and over infinity."""
+        return _sides(self.x)
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.x)) + ")"
@@ -93,13 +83,6 @@ class EnumerationStats:
     tuples_examined: int | None
     tuples_accepted: int | None
     elapsed_seconds: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tuples_examined": self.tuples_examined,
-            "tuples_accepted": self.tuples_accepted,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -116,7 +99,7 @@ class HurwitzResult:
             "g": self.genus,
             "r": self.r,
             "method": self.method,
-            "stats": self.stats.to_json_dict(),
+            "stats": asdict(self.stats),
         }
 
 
@@ -135,7 +118,7 @@ def invariant_violation(profile: RamificationProfile, r: int, value: Fraction) -
     value read back from the result cache.
     """
     count_argument("r", r)
-    weight = math.prod(profile.positives())
+    weight = math.prod(v for v in profile.x if v > 0)
     if weight % value.denominator:
         return f"integrality violated: {value} * {weight} is not an integer"
     if value < 0:
@@ -279,7 +262,7 @@ def oracle_count(
         raise BudgetExceededError(
             f"enumeration size C({d},2)^{r} = {size} exceeds budget {budget}"
         )
-    alpha, beta = profile.alpha(), profile.beta()
+    alpha, beta = profile.sides()
     started = time.perf_counter()
     examined, accepted = _count_tuples(alpha, beta, r)
     labels = math.prod(map(math.factorial, beta.multiplicities().values()))
@@ -328,7 +311,8 @@ def frobenius_disconnected(alpha: Partition, beta: Partition, r: int) -> int:
 
 
 def _sides(values: tuple[int, ...]) -> tuple[Partition, Partition]:
-    """The cycle types over 0 and over infinity of the parts."""
+    """The cycle types over 0 and over infinity of the parts; the one
+    implementation, for profiles and for the recursion's sub-profiles."""
     return Partition(v for v in values if v > 0), Partition(-v for v in values if v < 0)
 
 

@@ -18,7 +18,7 @@ from typing import Iterator
 from .errors import count_argument
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Partition:
     """Positive integer parts (possibly none), given in any order and kept
     weakly decreasing."""

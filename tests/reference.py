@@ -280,10 +280,11 @@ def oracle_tuples(profile: RamificationProfile, g: int) -> tuple[int, int]:
     """
     r = simple_branch_count(g, profile.n)
     d = profile.degree
-    beta_parts = profile.beta().parts
+    alpha, beta = profile.sides()
+    beta_parts = beta.parts
     sigma0 = list(range(d))
     start = 0
-    for part in profile.alpha().parts:
+    for part in alpha.parts:
         for offset in range(part):
             sigma0[start + offset] = start + (offset + 1) % part
         start += part

@@ -464,6 +464,35 @@ def test_selftest_mutated_normalization_fails(monkeypatch, capsys):
     assert any(c["name"] == "documented example values" for c in bad)
 
 
+def _one_too_high(real, x, g):
+    """real, with its value one higher at profile x and genus g."""
+
+    def patched(profile, genus):
+        result = real(profile, genus)
+        if profile.x == x and genus == g:
+            return dataclasses.replace(result, value=result.value + 1)
+        return result
+
+    return patched
+
+
+def test_selftest_grid_reports_a_mismatch(monkeypatch):
+    from hurwitzlab import cli
+
+    assert cli._check_grid()[0]
+    patched = _one_too_high(cli.frobenius_connected, (1, -1), 1)
+    monkeypatch.setattr(cli, "frobenius_connected", patched)
+    assert cli._check_grid() == (False, "mismatch at (1,-1), g=1: 0 vs 1")
+
+
+def test_selftest_symmetry_reports_the_profile(monkeypatch):
+    from hurwitzlab import cli
+
+    assert cli._check_symmetry()[0]
+    monkeypatch.setattr(cli, "oracle_count", _one_too_high(cli.oracle_count, (2, 1, -3), 0))
+    assert cli._check_symmetry() == (False, "H_0(2,1,-3) = 2 != 1")
+
+
 def test_selftest_orthogonality_reads_the_keys(monkeypatch):
     # one-part columns with their values moved to the next key keep every
     # sum of squares, so only the cross-column sums can see the fault
@@ -670,8 +699,8 @@ def test_cache_keys_are_collision_free():
             for g in (0, 1):
                 identity = (
                     g,
-                    tuple(sorted(profile.positives())),
-                    tuple(sorted(profile.negatives())),
+                    tuple(sorted(v for v in profile.x if v > 0)),
+                    tuple(sorted(v for v in profile.x if v < 0)),
                 )
                 key = cache_key(g, profile)
                 assert seen.setdefault(key, identity) == identity

@@ -16,6 +16,7 @@ import pytest
 from hurwitzlab.errors import DimensionMismatchError, NonZeroSumError
 from hurwitzlab.exact import (
     MultiPoly,
+    compositions,
     lattice_point,
     monomials_up_to_degree,
     newton_interpolate,
@@ -44,6 +45,31 @@ def _x(n: int, *indices: int) -> MultiPoly:
 def _chamber2_poly() -> MultiPoly:
     # 6*x1*(x1+x2+x5) in ambient dimension 5
     return raw_terms_poly(5, {(2, 0, 0, 0, 0): 6, (1, 1, 0, 0, 0): 6, (1, 0, 0, 0, 1): 6})
+
+
+# -- exponent order ----------------------------------------------------------
+
+
+def _sorted_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    tuples = itertools.product(range(total + 1), repeat=parts)
+    return sorted(c for c in tuples if sum(c) == total)
+
+
+def test_compositions_come_in_lexicographic_order():
+    # fit --json lists held-out points of equal cost in this order
+    for total in range(9):
+        for parts in range(6):
+            assert list(compositions(total, parts)) == _sorted_compositions(total, parts)
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(3, 0)) == []
+    assert list(compositions(0, 3)) == [(0, 0, 0)]
+
+
+def test_monomials_come_by_total_then_lexicographically():
+    for num_vars in range(6):
+        for degree in range(9):
+            expected = [a for t in range(degree + 1) for a in _sorted_compositions(t, num_vars)]
+            assert monomials_up_to_degree(num_vars, degree) == expected
 
 
 # -- rational scalar ---------------------------------------------------------

@@ -32,7 +32,7 @@ def _profile(*entries: int) -> RamificationProfile:
 
 def _alpha_weight(profile: RamificationProfile) -> int:
     weight = 1
-    for k, m in profile.alpha().multiplicities().items():
+    for k, m in profile.sides()[0].multiplicities().items():
         weight *= k**m
     return weight
 
@@ -57,8 +57,7 @@ def test_profile_derived_data():
     p = _profile(7, 1, -2, -3, -3)
     assert p.n == 5
     assert p.degree == 8
-    assert p.alpha() == Partition((7, 1))
-    assert p.beta() == Partition((3, 3, 2))
+    assert p.sides() == (Partition((7, 1)), Partition((3, 3, 2)))
 
 
 # -- simple branch count ---------------------------------------------------------
@@ -132,7 +131,7 @@ def test_oracle_matches_full_enumeration():
     for n in (2, 3, 4):
         for profile in enumerate_profiles(n, 5):
             for g in (0, 1):
-                key = (profile.alpha(), profile.beta(), g)
+                key = (*profile.sides(), g)
                 if key not in enumerated:
                     enumerated[key] = oracle_tuples(profile, g)
                 result = oracle_count(profile, g)
@@ -352,11 +351,11 @@ def test_connected_counts_match_the_fraction_recursion(n, max_degree, genera):
     # Fraction recursion over reference characters
     cases = 0
     for profile in _part_multisets(n, max_degree):
-        pos = profile.positives()
-        neg = tuple(-v for v in profile.negatives())
+        alpha, beta = profile.sides()
         for g in genera:
             r = simple_branch_count(g, n)
-            assert frobenius_connected(profile, g).value == connected_value(pos, neg, r), (
+            expected = connected_value(alpha.parts, beta.parts, r)
+            assert frobenius_connected(profile, g).value == expected, (
                 f"mismatch at {profile} g={g}"
             )
             cases += 1
