@@ -43,11 +43,10 @@ from .hurwitz import (
     simple_branch_count,
 )
 from .identities import verify_identities
-from .piecewise import DEFAULT_OVERSAMPLE, fit_chamber, product_formula_report, wall_crossing
+from .piecewise import fit_chamber, product_formula_report, wall_crossing
 from .symgroup import partitions_of, z_lambda
 
 DEFAULT_CACHE_PATH = "./hurwitz-cache.jsonl"
-DEFAULT_R_MAX = 30
 
 _EXIT_CODES = {
     "INVALID_PROFILE": 2,
@@ -117,13 +116,10 @@ def cache_lookup(path: str, key: str) -> dict | None:
     hit = None
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                continue  # tolerate a torn trailing write
+                continue  # tolerate a blank line or a torn trailing write
             if isinstance(record, dict) and record.get("key") == key:
                 hit = record
     return hit
@@ -223,9 +219,7 @@ def cmd_compute(args) -> int:
 
 
 def _fit(witness: ChamberWitness, args):
-    return fit_chamber(
-        witness, args.g, oversample=args.oversample, sampling_budget=args.budget
-    )
+    return fit_chamber(witness, args.g, sampling_budget=args.budget)
 
 
 def cmd_fit(args) -> int:
@@ -291,9 +285,13 @@ class CheckResult:
     detail: str
 
 
-def _check_identities(r_max: int) -> tuple[bool, str]:
-    report = verify_identities(r_max)
-    return report.ok, f"{report.cases} cases up to r={r_max}; failures: {list(report.failures)}"
+_IDENTITY_R_MAX = 30
+
+
+def _check_identities() -> tuple[bool, str]:
+    report = verify_identities(_IDENTITY_R_MAX)
+    detail = f"{report.cases} cases up to r={_IDENTITY_R_MAX}; failures: {list(report.failures)}"
+    return report.ok, detail
 
 
 _GRID_MAX_D = 4
@@ -397,9 +395,9 @@ def _check_interpolation_roundtrip() -> tuple[bool, str]:
     return True, "random polynomials recovered exactly"
 
 
-def run_selftest(r_max: int = DEFAULT_R_MAX) -> tuple[bool, list[CheckResult]]:
+def run_selftest() -> tuple[bool, list[CheckResult]]:
     checks = (
-        ("crossing sign identities", lambda: _check_identities(r_max)),
+        ("crossing sign identities", _check_identities),
         ("oracle vs character sum", _check_grid),
         ("documented example values", _check_examples),
         ("relabeling symmetry", _check_symmetry),
@@ -415,7 +413,7 @@ def run_selftest(r_max: int = DEFAULT_R_MAX) -> tuple[bool, list[CheckResult]]:
 
 
 def cmd_selftest(args) -> int:
-    ok, results = run_selftest(r_max=args.r_max)
+    ok, results = run_selftest()
     _emit({"ok": ok, "checks": [asdict(r) for r in results]}, args.json)
     return 0 if ok else 1
 
@@ -477,12 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=cmd_compute)
 
     def add_fit_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--oversample",
-            type=int,
-            default=DEFAULT_OVERSAMPLE,
-            help="held-out validation points beyond the monomial count",
-        )
         p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node search budget")
 
     fit = sub.add_parser("fit", help="fit the chamber polynomial at a witness")
@@ -504,9 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the built-in verification suite")
     add_common(selftest, needs_profile=False)
-    selftest.add_argument(
-        "--r-max", type=int, default=DEFAULT_R_MAX, help="identity check range"
-    )
     selftest.set_defaults(func=cmd_selftest)
 
     return parser

@@ -77,12 +77,6 @@ class UnstableCaseError(HurwitzlabError):
     code = "UNSTABLE_CASE"
 
 
-class BlockUnbalancedError(HurwitzlabError):
-    """A split block of a profile does not sum to zero."""
-
-    code = "BLOCK_UNBALANCED"
-
-
 def count_argument(name: str, value, low: int | None = 0, error: type = ValueError) -> int:
     """value if it is an int, not a bool, and at least low (None: any int);
     else error, naming the argument."""

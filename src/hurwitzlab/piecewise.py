@@ -18,12 +18,11 @@ from fractions import Fraction
 
 from .chambers import DEFAULT_NODE_BUDGET, ChamberWitness, Wall, chamber_nodes
 from .errors import (
-    BlockUnbalancedError,
     DimensionMismatchError,
     NotAdjacentError,
     NotPolynomialError,
+    OnWallError,
     UnstableCaseError,
-    count_argument,
 )
 from .exact import MultiPoly, newton_interpolate
 from .hurwitz import (
@@ -33,7 +32,7 @@ from .hurwitz import (
     simple_branch_count,
 )
 
-DEFAULT_OVERSAMPLE = 5
+_HELD_OUT = 5
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class WallCrossing:
 def fit_chamber(
     witness: ChamberWitness,
     g: int,
-    oversample: int = DEFAULT_OVERSAMPLE,
     *,
     sampling_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ChamberPolynomial:
@@ -86,8 +84,8 @@ def fit_chamber(
 
     Evaluates the count via the character route on the lattice nodes of
     ``chamber_nodes``, which determine a polynomial of degree 4g-3+n,
-    recovers it by Newton differences, and proves the fit on `oversample`
-    held-out lattice points.  The two cheapest evaluated points
+    recovers it by Newton differences, and proves the fit on five held-out
+    lattice points.  The two cheapest evaluated points
     (lowest cover degree, then lattice order, so the base point first) are
     cross-checked against the enumeration oracle, with no bound on its tuple
     space: the cut-and-join count costs a small share of the character-route
@@ -103,18 +101,15 @@ def fit_chamber(
         raise UnstableCaseError(
             "the two-part genus-0 count is 1/d and admits no polynomial fit"
         )
-    count_argument("oversample", oversample, 1)
     degree_bound = 4 * g - 3 + n
 
-    design = chamber_nodes(witness, degree_bound, oversample, sampling_budget)
+    design = chamber_nodes(witness, degree_bound, _HELD_OUT, sampling_budget)
     values = {a: frobenius_connected(p, g).value for a, p in design.nodes}
     poly = newton_interpolate(design.base.x, design.steps, values, degree_bound)
     held_out = [(p, frobenius_connected(p, g).value) for p in design.held_out]
 
     evaluated = [(p, values[a]) for a, p in design.nodes] + held_out
-    cheapest = sorted(range(len(evaluated)), key=lambda i: (evaluated[i][0].degree, i))
-    for i in cheapest[:2]:
-        point, value = evaluated[i]
+    for point, value in sorted(evaluated, key=lambda pair: pair[0].degree)[:2]:
         checked = oracle_count(point, g, budget=None).value
         if checked != value:
             raise AssertionError(
@@ -193,7 +188,7 @@ def crossing_blocks(
         raise DimensionMismatchError(f"wall {wall} is for n={wall.n}, point {x} has n={x.n}")
     total = wall.subset_sum(x.x)
     if total == 0:
-        raise BlockUnbalancedError(f"{x} lies on wall {wall}")
+        raise OnWallError(wall)
     if total < 0:
         raise ValueError(
             f"point {x} has negative sum {total} on wall {wall}; "

@@ -140,7 +140,6 @@ SWEEP = [
     Row(chamber_nodes, "budget", 100, {"witness": WITNESS, "degree": 2, "held_out": 2},
         "budget"),
     Row(fit_chamber, "g", 1, {"witness": FIT["witness"]}, "genus", error=InvalidProfileError),
-    Row(fit_chamber, "oversample", 3, FIT, "oversample", low=1),
     Row(fit_chamber, "sampling_budget", 100, FIT, "budget"),
     Row(alternating_sum, "r", 5, {"r2": 2}, "r", low=2),
     Row(alternating_sum, "r2", 2, {"r": 5}, "r2", low=1),
@@ -148,7 +147,6 @@ SWEEP = [
     Row(beta_integral_exact, "r2", 3, {"r1": 2}, "r2", low=1),
     Row(verify_identities, "r_max", 5, {}, "r_max", low=2),
     Row(cli.cache_key, "g", 0, {"profile": PROFILE}, "genus", error=InvalidProfileError),
-    Row(cli.run_selftest, "r_max", 5, {}, "r_max", low=2),
 ]
 
 # Public count parameters left out of the sweep, with the reason.

@@ -173,6 +173,23 @@ def test_cache_verify_appends_only_on_miss(tmp_path):
     assert len(cache.read_text().splitlines()) == 1
 
 
+def test_cache_skips_blank_torn_and_non_object_lines(tmp_path, capsys):
+    from hurwitzlab import cli
+
+    # every line but the two records is skipped, and the later record wins
+    key = "g=0;pos=7,1;neg=-3,-3,-2"
+    records = [json.dumps({"key": key, "value": v}) for v in ("294", "300")]
+    torn = f'{{"key": "{key}", "va'
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("\n".join(["", "  ", "[1, 2]", '"text"', "null", *records, torn]))
+    argv = ["compute", "-g", "0", "-x", "7,1,-2,-3,-3", "--cache", str(cache), "--json"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert (payload["value"], payload["cached"]) == ("300", True)
+    assert err == f"cache hit for {key}\n"
+
+
 # unparsable; negative; parses but is not integral (1/3 times the product 2
 # of the positive parts); nonzero for a degree-1 cover with branch points
 @pytest.mark.parametrize(
@@ -387,7 +404,6 @@ def test_wallcross_normalizes_complement_input():
     [
         (("wallcross", "--wall", "9"), "wall indices out of range 1..5: (9,)"),
         (("wallcross", "--wall", "2,x"), "cannot parse index list '2,x'"),
-        (("fit", "--oversample", "0"), "oversample must be positive, got 0"),
         (("fit", "--budget", "-1"), "budget must be nonnegative, got -1"),
         (("wallcross", "--wall", "1,6"), "wall indices out of range 1..5: (1, 6)"),
         (("wallcross", "--wall", "1,0"), "wall indices out of range 1..5: (0, 1)"),
@@ -395,7 +411,6 @@ def test_wallcross_normalizes_complement_input():
     ids=[
         "wallcross-wall",
         "wallcross-wall-text",
-        "fit-oversample",
         "fit-budget",
         "wallcross-wall-1-6",
         "wallcross-wall-1-0",
@@ -437,7 +452,7 @@ def test_wallcross_adjacency_not_found_fits_nothing(monkeypatch, capsys):
 
 
 def test_selftest_reduced_grid_passes():
-    proc = _run("selftest", "--r-max", "10", "--json")
+    proc = _run("selftest", "--json")
     assert proc.returncode == 0
     payload = _stdout_json(proc)
     assert payload["ok"] is True
@@ -457,7 +472,7 @@ def test_selftest_mutated_normalization_fails(monkeypatch, capsys):
         return dataclasses.replace(result, value=2 * result.value)
 
     monkeypatch.setattr(cli, "frobenius_connected", doubled)
-    assert cli.main(["selftest", "--r-max", "5", "--json"]) == 1
+    assert cli.main(["selftest", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     bad = [c for c in payload["checks"] if not c["ok"]]
@@ -515,6 +530,32 @@ def test_selftest_orthogonality_reads_the_keys(monkeypatch):
 
 
 # -- in-process contract details ---------------------------------------------------
+
+
+def test_subcommand_options_are_pinned():
+    import argparse
+
+    from hurwitzlab import cli
+
+    (subcommands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: [
+            "/".join(action.option_strings)
+            for action in parser._actions
+            if action.dest != "help"
+        ]
+        for name, parser in subcommands.choices.items()
+    }
+    common = ["-g", "-x/--profile", "--json"]
+    assert options == {
+        "compute": [*common, "--method", "--budget", "--cache", "--no-cache", "--verify"],
+        "fit": [*common, "--budget"],
+        "wallcross": [*common, "--wall", "--budget"],
+        "selftest": ["--json"],
+    }
 
 
 def _without_elapsed(raw: str) -> str:
@@ -681,12 +722,6 @@ def test_selftest_checks_are_pinned(capsys):
     assert all(c["ok"] is True for c in payload["checks"])
     assert list(payload["checks"][0]) == ["name", "ok", "detail"]
     assert err.splitlines() == [f"[ok] {name}: {detail}" for name, detail in _SELFTEST_CHECKS]
-
-
-def test_fit_oversample_flag_controls_validation_size():
-    proc = _run("fit", "-g", "0", "-x", "2,1,-3", "--oversample", "7")
-    assert proc.returncode == 0
-    assert len(_stdout_json(proc)["validation"]) == 7
 
 
 def test_cache_keys_are_collision_free():

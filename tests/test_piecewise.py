@@ -18,6 +18,7 @@ from hurwitzlab.errors import (
     DimensionMismatchError,
     NotAdjacentError,
     NotPolynomialError,
+    OnWallError,
     UnstableCaseError,
 )
 from hurwitzlab.exact import MultiPoly, poly_divmod
@@ -79,13 +80,6 @@ def test_genus_one_two_part_fit_degree_three():
         ).value
 
 
-def test_fit_is_sample_set_independent():
-    witness = _witness(3, 1, -2, -2)
-    first = fit_chamber(witness, 0, oversample=5)
-    second = fit_chamber(witness, 0, oversample=9)
-    assert first.polynomial == second.polynomial
-
-
 def test_fit_at_a_scaled_witness_matches_the_unscaled_one():
     # the slide moves 100000x the documented witness to the same base in a
     # few checks per direction, well inside the default node budget
@@ -99,7 +93,7 @@ def test_fit_at_a_scaled_witness_matches_the_unscaled_one():
 
 
 def test_fit_validates_on_held_out_points():
-    fit = fit_chamber(_witness(3, 1, -2, -2), 0, oversample=5)
+    fit = fit_chamber(_witness(3, 1, -2, -2), 0)
     assert len(fit.validation) == 5
     for point, value in fit.validation:
         assert fit.polynomial.evaluate(point.x) == value
@@ -334,6 +328,15 @@ def test_crossing_blocks_rejects_a_wall_of_another_dimension(indices, n):
         crossing_blocks(Wall(indices, n), x)
     with pytest.raises(DimensionMismatchError, match=message):
         product_formula_report(Wall(indices, n), x)
+
+
+def test_crossing_blocks_rejects_a_point_on_the_wall():
+    wall = Wall((2, 5), 5)
+    x = RamificationProfile((4, 2, -1, -3, -2))  # x2 + x5 = 0
+    for split in (crossing_blocks, product_formula_report):
+        with pytest.raises(OnWallError) as err:
+            split(wall, x)
+        assert err.value.wall == wall
 
 
 def test_three_point_block_counts_are_one():

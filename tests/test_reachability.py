@@ -44,14 +44,13 @@ COMMANDS = [
     (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "2"), 0),
     (("wallcross", "-g", "1", "-x", "3,1,-2,-2", "--wall", "2"), 0),
     (("wallcross", "-g", "0", "--profile=-1,3,-2", "--wall", "2"), 5),
-    (("selftest", "--r-max", "5"), 0),
+    (("selftest",), 0),
     (("compute", "-g", "0", "-x", "3,x,-2", "--no-cache"), 2),
     (("compute", "-g", "0", "-x", "3,1,-2", "--no-cache"), 2),
     (("fit", "-g", "0", "-x", "2,1,-1,-2"), 2),
     (("fit", "-g", "0", "-x", "1,-1"), 2),
     (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "2,x"), 2),
     (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "9"), 2),
-    (("fit", "-g", "0", "-x", "7,1,-2,-3,-3", "--oversample", "0"), 2),
     (("wallcross", "-g", "0", "-x", "7,1,-2,-3,-3", "--wall", "1,6"), 2),
     (("compute", "-g", "0", "-x", "2,-1,-1", "--cache", "."), 2),
     (
