@@ -26,7 +26,7 @@ from .errors import (
 from .exact import MultiPoly, compositions, lattice_point, monomials_up_to_degree
 from .hurwitz import RamificationProfile
 
-DEFAULT_NODE_BUDGET = 100_000
+NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,7 @@ class ChamberNodes:
     held_out: tuple[RamificationProfile, ...]
 
 
-def chamber_nodes(
-    witness: ChamberWitness, degree: int, held_out: int, budget: int = DEFAULT_NODE_BUDGET
-) -> ChamberNodes:
+def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> ChamberNodes:
     """The nodes for a fit of the given degree in the witness's chamber.
 
     The witness slides down its chamber to a base point b, moving along each
@@ -221,11 +219,10 @@ def chamber_nodes(
     the corners b + degree * v_i are checked, and the cover degree
     deg(b) + sum a_i deg(v_i) picks the `held_out` cheapest later points
     (ties in lattice order), the only ones built.  Every check counts toward
-    the budget.
+    ``NODE_BUDGET``.
     """
     count_argument("degree", degree)
     count_argument("held_out", held_out)
-    count_argument("budget", budget)
     n = witness.point.n
     target = witness.signs
     spent = 0
@@ -233,9 +230,9 @@ def chamber_nodes(
     def spend() -> None:
         nonlocal spent
         spent += 1
-        if spent > budget:
+        if spent > NODE_BUDGET:
             raise SamplingBudgetExceededError(
-                f"node search exceeded {budget} candidate checks"
+                f"node search exceeded {NODE_BUDGET} candidate checks"
             )
 
     base = witness.point.x

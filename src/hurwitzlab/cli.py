@@ -10,6 +10,7 @@ the wall alone, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .chambers import DEFAULT_NODE_BUDGET, ChamberWitness, Wall, adjacent_chamber
+from .chambers import ChamberWitness, Wall, adjacent_chamber
 from .errors import HurwitzlabError, InvalidProfileError, count_argument
 from .exact import (
     MultiPoly,
@@ -47,6 +48,7 @@ from .piecewise import fit_chamber, product_formula_report, wall_crossing
 from .symgroup import partitions_of, z_lambda
 
 DEFAULT_CACHE_PATH = "./hurwitz-cache.jsonl"
+_METHODS = ("oracle", "frobenius", "both")
 
 _EXIT_CODES = {
     "INVALID_PROFILE": 2,
@@ -110,11 +112,21 @@ def cache_key(g: int, profile: RamificationProfile) -> str:
     return f"g={g};pos={pos};neg={neg}"
 
 
+@contextlib.contextmanager
+def _open_cache(path: str, mode: str):
+    # an OSError on the cache file's open, read or write is invalid input
+    try:
+        with open(path, mode, encoding="utf-8") as handle:
+            yield handle
+    except OSError as err:
+        raise ValueError(str(err)) from err
+
+
 def cache_lookup(path: str, key: str) -> dict | None:
     if not os.path.exists(path):
         return None
     hit = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_cache(path, "r") as handle:
         for line in handle:
             try:
                 record = json.loads(line)
@@ -133,7 +145,7 @@ def cache_append(path: str, key: str, value: str, method: str) -> None:
         "version": __version__,
         "timestamp": time.time(),
     }
-    with open(path, "a", encoding="utf-8") as handle:
+    with _open_cache(path, "a") as handle:
         handle.write(json.dumps(record) + "\n")
         handle.flush()
 
@@ -153,14 +165,18 @@ def _resolve_cache_path(args) -> str | None:
 
 def _cached_value(record: dict, profile: RamificationProfile, r: int) -> Fraction | None:
     """The record's value if it is str(v) of a Fraction v, as ``cache_append``
-    writes it, and v passes the count invariants, else None after a notice: a
-    damaged record, a JSON number or a value spelled "12.0" is never served."""
+    writes it, its method is one that ``cache_append`` writes, and v passes
+    the count invariants, else None after a notice: a damaged record, a JSON
+    number or a value spelled "12.0" is never served."""
     try:
         value = Fraction(record.get("value"))
         if str(value) != record["value"]:
             raise ValueError("not the string cache_append writes")
     except (TypeError, ValueError, ZeroDivisionError):
         _notice(f"ignoring cache record for {record['key']}: unparsable value")
+        return None
+    if record.get("method") not in _METHODS:
+        _notice(f"ignoring cache record for {record['key']}: unknown method")
         return None
     violation = invariant_violation(profile, r, value)
     if violation is not None:
@@ -181,7 +197,7 @@ def cmd_compute(args) -> int:
     if cached is not None and not args.verify:
         _notice(f"cache hit for {key}")
         stats = EnumerationStats(None, None, 0.0)
-        hit = HurwitzResult(cached, g, r, record.get("method", "unknown"), stats)
+        hit = HurwitzResult(cached, g, r, record["method"], stats)
         _emit({**hit.to_json_dict(), "cached": True}, args.json)
         return 0
 
@@ -218,13 +234,9 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit(witness: ChamberWitness, args):
-    return fit_chamber(witness, args.g, sampling_budget=args.budget)
-
-
 def cmd_fit(args) -> int:
     witness = ChamberWitness.at(_parse_profile(args.x))
-    _emit(_fit(witness, args).to_json_dict(), args.json)
+    _emit(fit_chamber(witness, args.g).to_json_dict(), args.json)
     return 0
 
 
@@ -242,7 +254,7 @@ def cmd_wallcross(args) -> int:
 
     # before any fit, so that a wall with no chamber across it exits 5 at once
     other = adjacent_chamber(witness, wall)
-    crossing = wall_crossing(_fit(witness, args), _fit(other, args), wall)
+    crossing = wall_crossing(fit_chamber(witness, args.g), fit_chamber(other, args.g), wall)
     payload = crossing.to_json_dict()
 
     quotient, remainder = poly_divmod(crossing.polynomial, wall.form())
@@ -453,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(compute)
     compute.add_argument(
         "--method",
-        choices=("oracle", "frobenius", "both"),
+        choices=_METHODS,
         default="frobenius",
         help="evaluation route (default: frobenius)",
     )
@@ -474,12 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.set_defaults(func=cmd_compute)
 
-    def add_fit_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node search budget")
-
     fit = sub.add_parser("fit", help="fit the chamber polynomial at a witness")
     add_common(fit)
-    add_fit_options(fit)
     fit.set_defaults(func=cmd_fit)
 
     wallcross = sub.add_parser(
@@ -491,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma separated wall indices, either representative, e.g. 2,5",
     )
-    add_fit_options(wallcross)
     wallcross.set_defaults(func=cmd_wallcross)
 
     selftest = sub.add_parser("selftest", help="run the built-in verification suite")
@@ -508,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except HurwitzlabError as err:
         return _emit_error(err)
-    except (ValueError, OSError) as err:  # OSError: the cache file
+    except ValueError as err:
         return _emit_error(err, code="INVALID_ARGUMENT")
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chambers import DEFAULT_NODE_BUDGET, ChamberWitness, Wall, chamber_nodes
+from .chambers import ChamberWitness, Wall, chamber_nodes
 from .errors import (
     DimensionMismatchError,
     NotAdjacentError,
@@ -74,12 +74,7 @@ class WallCrossing:
         }
 
 
-def fit_chamber(
-    witness: ChamberWitness,
-    g: int,
-    *,
-    sampling_budget: int = DEFAULT_NODE_BUDGET,
-) -> ChamberPolynomial:
+def fit_chamber(witness: ChamberWitness, g: int) -> ChamberPolynomial:
     """Fit the chamber polynomial at the witness's chamber.
 
     Evaluates the count via the character route on the lattice nodes of
@@ -103,7 +98,7 @@ def fit_chamber(
         )
     degree_bound = 4 * g - 3 + n
 
-    design = chamber_nodes(witness, degree_bound, _HELD_OUT, sampling_budget)
+    design = chamber_nodes(witness, degree_bound, _HELD_OUT)
     values = {a: frobenius_connected(p, g).value for a, p in design.nodes}
     poly = newton_interpolate(design.base.x, design.steps, values, degree_bound)
     held_out = [(p, frobenius_connected(p, g).value) for p in design.held_out]

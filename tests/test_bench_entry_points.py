@@ -44,3 +44,16 @@ def test_every_worker_call_resolves():
         if not callable(target):
             missing.append(".".join(chain))
     assert missing == []
+
+
+def test_every_benchmark_command_line_parses(monkeypatch):
+    # inputs.py imports its sibling checks.py by the bare name
+    monkeypatch.syspath_prepend(str(WORKER.parent))
+    inputs = importlib.import_module("inputs")
+    cli = importlib.import_module("hurwitzlab.cli")
+    ops = inputs.fit_ops(13) + inputs.cli_ops(13, "cache.jsonl")
+    argvs = [op.argv for op in ops if op.argv]
+    assert {argv[0] for argv in argvs} == {"wallcross", "compute", "selftest"}
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(list(argv))  # an unknown option raises SystemExit

@@ -322,19 +322,21 @@ def test_chamber_nodes_match_the_whole_box_route(monkeypatch):
     monkeypatch.setattr(
         chambers, "_sign_vectors", lambda point, radius: iter(box_sign_vectors(point, radius))
     )
+    monkeypatch.setattr(chambers, "NODE_BUDGET", 10**7)
     for witness, design in zip(witnesses, designs):
-        by_boxes = chamber_nodes(witness, 2, 3, budget=10**7)
+        by_boxes = chamber_nodes(witness, 2, 3)
         assert design.base == by_boxes.base
         assert design.steps == by_boxes.steps
         assert design.nodes == by_boxes.nodes
         assert design.held_out == by_boxes.held_out
 
 
-def test_seven_part_step_search_stays_small():
+def test_seven_part_step_search_stays_small(monkeypatch):
     # the whole-box route checks 300,571 vectors here, over the default
     # budget; given room, it finds this base and these steps
     witness = ChamberWitness.at(RamificationProfile((-8, -1, -9, 2, 3, -9, 22)))
-    design = chamber_nodes(witness, 4, 5, budget=20_000)
+    monkeypatch.setattr(chambers, "NODE_BUDGET", 20_000)
+    design = chamber_nodes(witness, 4, 5)
     assert design.base.x == (-5, -1, -5, 2, 2, -5, 12)
     assert design.steps == (
         (-1, 0, 0, 0, 0, 0, 1),
@@ -346,10 +348,11 @@ def test_seven_part_step_search_stays_small():
     )
 
 
-def test_sample_budget_error():
+def test_sample_budget_error(monkeypatch):
     witness = ChamberWitness.at(EXAMPLE_C1)
+    monkeypatch.setattr(chambers, "NODE_BUDGET", 10)
     with pytest.raises(SamplingBudgetExceededError):
-        chamber_nodes(witness, 2, 5, budget=10)
+        chamber_nodes(witness, 2, 5)
 
 
 def test_every_small_chamber_gets_a_full_step_basis():

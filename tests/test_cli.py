@@ -7,6 +7,7 @@ stdout JSON, stderr notices, and exit codes.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -19,13 +20,17 @@ _BASE = [sys.executable, "-m", "hurwitzlab"]
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _run(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def _env(env_extra: dict | None = None) -> dict:
     env = os.environ.copy()
     # the source tree first, so an uninstalled checkout runs too
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     env.update(env_extra or {})
+    return env
+
+
+def _run(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        _BASE + list(args), capture_output=True, text=True, env=env, timeout=600
+        _BASE + list(args), capture_output=True, text=True, env=_env(env_extra), timeout=600
     )
 
 
@@ -153,14 +158,33 @@ def test_cache_round_trip(tmp_path):
     assert _stdout_json(verified).get("cached") is None
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "dot"])
 def test_cache_path_that_cannot_be_opened_exits_2(tmp_path, where):
     # a directory fails on lookup, a missing parent on the append after the count
-    cache = tmp_path if where == "directory" else tmp_path / "absent" / "c.jsonl"
-    proc = _run("compute", "-g", "0", "-x", "3,-1,-2", "--cache", str(cache))
+    cache = {
+        "directory": str(tmp_path),
+        "missing-parent": str(tmp_path / "absent" / "c.jsonl"),
+        "dot": ".",
+    }[where]
+    proc = _run("compute", "-g", "0", "-x", "3,-1,-2", "--cache", cache)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert len(proc.stderr.splitlines()) == 1
-    assert _stderr_json(proc)["error"] == "INVALID_ARGUMENT"
+    code = errno.ENOENT if where == "missing-parent" else errno.EISDIR
+    detail = f"[Errno {code}] {os.strerror(code)}: {cache!r}"
+    assert _stderr_json(proc) == {"error": "INVALID_ARGUMENT", "detail": detail}
+
+
+def test_closed_stdout_is_not_invalid_input():
+    # the reader closes its end before the fit is printed, so the write fails
+    proc = subprocess.Popen(
+        _BASE + ["fit", "-g", "1", "-x", "3,1,-2,-2", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env(),
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=600) == 1
+    assert "INVALID_ARGUMENT" not in stderr
+    assert "BrokenPipeError" in stderr
 
 
 def test_cache_verify_appends_only_on_miss(tmp_path):
@@ -178,7 +202,9 @@ def test_cache_skips_blank_torn_and_non_object_lines(tmp_path, capsys):
 
     # every line but the two records is skipped, and the later record wins
     key = "g=0;pos=7,1;neg=-3,-3,-2"
-    records = [json.dumps({"key": key, "value": v}) for v in ("294", "300")]
+    records = [
+        json.dumps({"key": key, "value": v, "method": "frobenius"}) for v in ("294", "300")
+    ]
     torn = f'{{"key": "{key}", "va'
     cache = tmp_path / "cache.jsonl"
     cache.write_text("\n".join(["", "  ", "[1, 2]", '"text"', "null", *records, torn]))
@@ -191,30 +217,47 @@ def test_cache_skips_blank_torn_and_non_object_lines(tmp_path, capsys):
 
 
 # unparsable; negative; parses but is not integral (1/3 times the product 2
-# of the positive parts); nonzero for a degree-1 cover with branch points
+# of the positive parts); nonzero for a degree-1 cover with branch points; a
+# right value under a method that cache_append never writes, or under none
+# (method None leaves the field out)
 @pytest.mark.parametrize(
-    "g, x, key, bad_value, reason, count",
+    "g, x, key, bad_value, method, reason, count",
     [
-        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "banana", "unparsable", "1"),
-        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "-1", "negative", "1"),
-        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "1/3", "integrality", "1"),
+        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "banana", "frobenius", "unparsable", "1"),
+        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "-1", "frobenius", "negative", "1"),
+        ("0", "2,-1,-1", "g=0;pos=2;neg=-1,-1", "1/3", "frobenius", "integrality", "1"),
         (
-            "1", "1,-1", "g=1;pos=1;neg=-1", "5",
+            "1", "1,-1", "g=1;pos=1;neg=-1", "5", "frobenius",
             "degree-1 cover with r=2 must count 0, got 5", "0",
         ),
+        (
+            "0", "7,1,-2,-3,-3", "g=0;pos=7,1;neg=-3,-3,-2", "294", {"x": 1},
+            "unknown method", "294",
+        ),
+        (
+            "0", "7,1,-2,-3,-3", "g=0;pos=7,1;neg=-3,-3,-2", "294", None,
+            "unknown method", "294",
+        ),
     ],
-    ids=["banana", "-1", "1/3", "degree-1"],
+    ids=["banana", "-1", "1/3", "degree-1", "method-object", "no-method"],
 )
-def test_cache_damaged_record_is_recomputed(tmp_path, g, x, key, bad_value, reason, count):
+def test_cache_damaged_record_is_recomputed(
+    tmp_path, g, x, key, bad_value, method, reason, count
+):
     cache = tmp_path / "cache.jsonl"
-    record = {"key": key, "value": bad_value, "method": "frobenius"}
+    record = {"key": key, "value": bad_value, "method": method}
+    if method is None:
+        del record["method"]
     cache.write_text(json.dumps(record) + "\n")
     proc = _run("compute", "-g", g, "-x", x, "--cache", str(cache))
     assert proc.returncode == 0
     payload = _stdout_json(proc)
-    assert payload["value"] == count
+    assert (payload["value"], payload["method"]) == (count, "frobenius")
     assert "cached" not in payload
     assert f"ignoring cache record for {key}: {reason}" in proc.stderr
+    # the recomputed value is appended, so the next lookup is a hit
+    appended = json.loads(cache.read_text().splitlines()[-1])
+    assert (appended["value"], appended["method"]) == (count, "frobenius")
 
 
 def test_cache_mismatch_on_verify_exits_1(tmp_path, capsys):
@@ -222,7 +265,8 @@ def test_cache_mismatch_on_verify_exits_1(tmp_path, capsys):
 
     # a well-formed record that passes the invariants, but not the count 6
     cache = tmp_path / "cache.jsonl"
-    cache.write_text(json.dumps({"key": "g=0;pos=3,1;neg=-2,-2", "value": "7"}) + "\n")
+    record = {"key": "g=0;pos=3,1;neg=-2,-2", "value": "7", "method": "frobenius"}
+    cache.write_text(json.dumps(record) + "\n")
     argv = ["compute", "-g", "0", "-x", "3,1,-2,-2", "--verify", "--cache", str(cache)]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
@@ -404,14 +448,12 @@ def test_wallcross_normalizes_complement_input():
     [
         (("wallcross", "--wall", "9"), "wall indices out of range 1..5: (9,)"),
         (("wallcross", "--wall", "2,x"), "cannot parse index list '2,x'"),
-        (("fit", "--budget", "-1"), "budget must be nonnegative, got -1"),
         (("wallcross", "--wall", "1,6"), "wall indices out of range 1..5: (1, 6)"),
         (("wallcross", "--wall", "1,0"), "wall indices out of range 1..5: (0, 1)"),
     ],
     ids=[
         "wallcross-wall",
         "wallcross-wall-text",
-        "fit-budget",
         "wallcross-wall-1-6",
         "wallcross-wall-1-0",
     ],
@@ -446,6 +488,22 @@ def test_wallcross_adjacency_not_found_fits_nothing(monkeypatch, capsys):
         "ADJACENCY_NOT_FOUND"
     )
     assert fits == []
+
+
+@pytest.mark.parametrize(
+    "command", [("fit",), ("wallcross", "--wall", "2,5")], ids=["fit", "wallcross"]
+)
+def test_node_budget_exceeded_exits_3(monkeypatch, capsys, command):
+    from hurwitzlab import chambers, cli
+
+    monkeypatch.setattr(chambers, "NODE_BUDGET", 10)
+    argv = [command[0], "-g", "0", "-x", "7,1,-2,-3,-3", *command[1:]]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps(
+        {"error": "SAMPLING_BUDGET_EXCEEDED", "detail": "node search exceeded 10 candidate checks"}
+    ) + "\n"
 
 
 # -- selftest --------------------------------------------------------------------------
@@ -552,8 +610,8 @@ def test_subcommand_options_are_pinned():
     common = ["-g", "-x/--profile", "--json"]
     assert options == {
         "compute": [*common, "--method", "--budget", "--cache", "--no-cache", "--verify"],
-        "fit": [*common, "--budget"],
-        "wallcross": [*common, "--wall", "--budget"],
+        "fit": common,
+        "wallcross": [*common, "--wall"],
         "selftest": ["--json"],
     }
 

@@ -58,7 +58,6 @@ COMMANDS = [
          "--budget", "-1", "--no-cache"),
         2,
     ),
-    (("fit", "-g", "0", "-x", "7,1,-2,-3,-3", "--budget", "-1"), 2),
 ]
 
 EXEMPT = ("__str__", "__repr__")
