@@ -23,7 +23,7 @@ from .errors import (
     SamplingBudgetExceededError,
     count_argument,
 )
-from .exact import MultiPoly, compositions, lattice_point, monomials_up_to_degree
+from .exact import MultiPoly, compositions, lattice_point
 from .hurwitz import RamificationProfile
 
 NODE_BUDGET = 100_000
@@ -188,23 +188,20 @@ def _reduce(vector: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> li
 
 
 @dataclass(frozen=True)
-class ChamberNodes:
-    """Fit nodes on an affine principal lattice inside one chamber.
-
-    ``nodes`` pairs each a with a_i >= 0 and sum a_i <= degree, in the order
-    of ``monomials_up_to_degree(n - 1, degree)``, with the point
-    ``lattice_point(base.x, steps, a)``; ``held_out`` are further lattice
-    points, from the layers sum a_i = degree + 1, degree + 2, ...
+class ChamberLattice:
+    """An affine principal lattice inside one chamber: the fit nodes are
+    ``lattice_point(base.x, steps, a)`` for a_i >= 0, sum a_i <= degree, and
+    ``held_out`` are further lattice points, from the layers sum a_i =
+    degree + 1, degree + 2, ...
     """
 
     base: RamificationProfile
     steps: tuple[tuple[int, ...], ...]
-    nodes: tuple[tuple[tuple[int, ...], RamificationProfile], ...]
     held_out: tuple[RamificationProfile, ...]
 
 
-def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> ChamberNodes:
-    """The nodes for a fit of the given degree in the witness's chamber.
+def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> ChamberLattice:
+    """The lattice for a fit of the given degree in the witness's chamber.
 
     The witness slides down its chamber to a base point b, moving along each
     unit step with its signs as far as the chamber allows, at one check per
@@ -279,10 +276,6 @@ def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> Chambe
     if degree:
         for step in steps:
             checked(tuple(b + degree * v for b, v in zip(base, step)))
-    nodes = tuple(
-        (a, RamificationProfile(lattice_point(base, steps, a)))
-        for a in monomials_up_to_degree(n - 1, degree)
-    )
     costs = [sum(c for c in step if c > 0) for step in steps]
     extra: list[RamificationProfile] = []
     layer = degree
@@ -291,11 +284,8 @@ def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> Chambe
         ring = sorted(compositions(layer, n - 1), key=lambda a: sum(map(mul, a, costs)))
         for a in ring[: held_out - len(extra)]:
             extra.append(checked(lattice_point(base, steps, a)))
-    return ChamberNodes(
-        base=RamificationProfile(base),
-        steps=tuple(steps),
-        nodes=nodes,
-        held_out=tuple(extra),
+    return ChamberLattice(
+        base=RamificationProfile(base), steps=tuple(steps), held_out=tuple(extra)
     )
 
 

@@ -10,9 +10,9 @@ Two polynomials take equal values on the whole lattice iff their canonical
 term maps are equal, which makes polynomial identity testing exact.
 
 Monomials are ordered graded-lexicographically with x_1 > x_2 > ... for
-printing, so output is deterministic.  ``newton_interpolate`` recovers a
-polynomial from its values on an affine principal lattice by forward
-differences in integers, with no linear system and one division per term.
+printing, so output is deterministic.  ``newton_interpolate`` calls a value
+function on an affine principal lattice and recovers the polynomial by
+integer forward differences, with no linear system and one division per term.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NonZeroSumError, count_argument
 
@@ -245,12 +245,13 @@ def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 def newton_interpolate(
     base: Sequence[int],
     steps: Sequence[Sequence[int]],
-    values: Mapping[Exponents, Fraction | int],
+    value_at: Callable[[tuple[int, ...]], Fraction | int],
     degree: int,
 ) -> MultiPoly:
     """The unique polynomial of total degree <= D = degree taking the value
-    values[a] at lattice_point(base, steps, a), for every a in the simplex
-    lattice a_i >= 0, sum a_i <= D.
+    value_at(lattice_point(base, steps, a)) for every a in the simplex lattice
+    a_i >= 0, sum a_i <= D; once the base and steps pass their checks,
+    value_at is called once per a, in ``monomials_up_to_degree`` order.
 
     base is a zero-sum point of length n and steps are n - 1 linearly
     independent zero-sum vectors.  Such a lattice is unisolvent for the
@@ -280,10 +281,7 @@ def newton_interpolate(
     if not det:
         raise ValueError("the steps are linearly dependent")
     lattice = monomials_up_to_degree(m, degree)
-    missing = [a for a in lattice if a not in values]
-    if missing:
-        raise ValueError(f"no value at {len(missing)} lattice points, e.g. {missing[0]}")
-    exact = {a: _exact("value", values[a]) for a in lattice}
+    exact = {a: _exact("value", value_at(lattice_point(base, steps, a))) for a in lattice}
 
     # a lattice point or an exponent vector e is keyed by sum_i e_i radix^i
     radix = degree + 1

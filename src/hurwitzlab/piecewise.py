@@ -77,10 +77,10 @@ class WallCrossing:
 def fit_chamber(witness: ChamberWitness, g: int) -> ChamberPolynomial:
     """Fit the chamber polynomial at the witness's chamber.
 
-    Evaluates the count via the character route on the lattice nodes of
-    ``chamber_nodes``, which determine a polynomial of degree 4g-3+n,
-    recovers it by Newton differences, and proves the fit on five held-out
-    lattice points.  The two cheapest evaluated points
+    Newton interpolation on the lattice of ``chamber_nodes``, whose nodes
+    determine a polynomial of degree 4g-3+n, evaluates the count via the
+    character route at each node, and five held-out lattice points prove the
+    fit.  The two cheapest evaluated points
     (lowest cover degree, then lattice order, so the base point first) are
     cross-checked against the enumeration oracle, with no bound on its tuple
     space: the cut-and-join count costs a small share of the character-route
@@ -99,11 +99,16 @@ def fit_chamber(witness: ChamberWitness, g: int) -> ChamberPolynomial:
     degree_bound = 4 * g - 3 + n
 
     design = chamber_nodes(witness, degree_bound, _HELD_OUT)
-    values = {a: frobenius_connected(p, g).value for a, p in design.nodes}
-    poly = newton_interpolate(design.base.x, design.steps, values, degree_bound)
-    held_out = [(p, frobenius_connected(p, g).value) for p in design.held_out]
+    evaluated: list[tuple[RamificationProfile, Fraction]] = []  # in call order
 
-    evaluated = [(p, values[a]) for a, p in design.nodes] + held_out
+    def count_at(x: tuple[int, ...]) -> Fraction:
+        point = RamificationProfile(x)
+        # positional, as perfbench's trace hook reads the profile from args[0]
+        evaluated.append((point, frobenius_connected(point, g).value))
+        return evaluated[-1][1]
+
+    poly = newton_interpolate(design.base.x, design.steps, count_at, degree_bound)
+    held_out = [(p, count_at(p.x)) for p in design.held_out]
     for point, value in sorted(evaluated, key=lambda pair: pair[0].degree)[:2]:
         checked = oracle_count(point, g, budget=None).value
         if checked != value:

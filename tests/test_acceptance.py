@@ -13,7 +13,7 @@ import pytest
 
 from hurwitzlab.chambers import ChamberWitness, Wall
 from hurwitzlab.cli import run_selftest
-from hurwitzlab.exact import poly_divmod
+from hurwitzlab.exact import lattice_point, monomials_up_to_degree, poly_divmod
 from hurwitzlab.hurwitz import (
     RamificationProfile,
     enumerate_profiles,
@@ -153,11 +153,12 @@ def test_criterion_6_product_formula(example_pair):
     matching = [name for name, value in report.items() if value == target]
     assert matching == ["C(r,r1)"]
 
-    extra = [
-        p
-        for _, p in chamber_nodes(ChamberWitness.at(q), 2, 0).nodes
-        if p.x != q.x
-    ][:5]
+    design = chamber_nodes(ChamberWitness.at(q), 2, 0)
+    nodes = [
+        RamificationProfile(lattice_point(design.base.x, design.steps, a))
+        for a in monomials_up_to_degree(q.n - 1, 2)
+    ]
+    extra = [p for p in nodes if p.x != q.x][:5]
     assert len(extra) == 5
     for point in extra:
         derived = crossing.polynomial.evaluate(point.x)

@@ -96,7 +96,7 @@ WITNESS = ChamberWitness.at(PROFILE)
 # two parts, so that g=False is refused as a genus, not as the unstable g=0 case
 FIT_WITNESS = ChamberWitness.at(RamificationProfile((1, -1)))
 PAIR = {"alpha": Partition((2,)), "beta": Partition((1, 1))}
-LINE = {"base": (1, -1), "steps": ((1, -1),), "values": {(0,): 1}, "degree": 0}
+LINE = {"base": (1, -1), "steps": ((1, -1),), "value_at": lambda x: 1, "degree": 0}
 
 
 def _without(others: dict, parameter: str) -> dict:

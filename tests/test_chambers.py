@@ -23,7 +23,7 @@ from hurwitzlab.errors import (
     OnWallError,
     SamplingBudgetExceededError,
 )
-from hurwitzlab.exact import compositions, lattice_point
+from hurwitzlab.exact import compositions, lattice_point, monomials_up_to_degree
 from hurwitzlab.hurwitz import RamificationProfile
 from reference import (
     adjacent_by_search,
@@ -154,10 +154,19 @@ def _step_matrix(steps) -> list[tuple[int, ...]]:
     return [step[:-1] for step in steps]
 
 
+def _nodes(design, degree: int) -> list[tuple[tuple[int, ...], RamificationProfile]]:
+    """The fit nodes of a chamber lattice: each a with a_i >= 0 and
+    sum a_i <= degree, in lattice order, with its point."""
+    return [
+        (a, RamificationProfile(lattice_point(design.base.x, design.steps, a)))
+        for a in monomials_up_to_degree(len(design.steps), degree)
+    ]
+
+
 def test_sample_includes_scalings_for_two_parts():
     design = chamber_nodes(ChamberWitness.at(RamificationProfile((1, -1))), 2, 3)
     assert design.base.x == (1, -1) and design.steps == ((1, -1),)
-    assert [p.x for _, p in design.nodes] == [(1, -1), (2, -2), (3, -3)]
+    assert [p.x for _, p in _nodes(design, 2)] == [(1, -1), (2, -2), (3, -3)]
     assert [p.x for p in design.held_out] == [(4, -4), (5, -5), (6, -6)]
 
 
@@ -187,14 +196,15 @@ def test_sample_points_share_the_signature():
     for witness in witnesses:
         n = witness.point.n
         design = chamber_nodes(witness, 3, 5)
-        points = [p for _, p in design.nodes] + list(design.held_out)
-        assert len(design.nodes) == math.comb(3 + n - 1, n - 1)
+        nodes = _nodes(design, 3)
+        points = [p for _, p in nodes] + list(design.held_out)
+        assert len(nodes) == math.comb(3 + n - 1, n - 1)
         assert len(design.held_out) == 5
         assert len({p.x for p in points}) == len(points)
         assert design.base.degree <= witness.point.degree
         for p in points:
             assert ChamberWitness(p).signs == witness.signs
-        for a, p in design.nodes:
+        for a, p in nodes:
             assert p.x == tuple(
                 b + sum(k * step[j] for k, step in zip(a, design.steps))
                 for j, b in enumerate(design.base.x)
@@ -236,7 +246,7 @@ def test_sample_is_deterministic_and_prefix_stable():
     again = chamber_nodes(witness, 2, 5)
     assert first == again
     larger = chamber_nodes(witness, 3, 5)
-    assert larger.nodes[: len(first.nodes)] == first.nodes
+    assert _nodes(larger, 3)[: len(_nodes(first, 2))] == _nodes(first, 2)
     held = [p.degree for p in first.held_out]
     assert held == sorted(held)
 
@@ -327,7 +337,7 @@ def test_chamber_nodes_match_the_whole_box_route(monkeypatch):
         by_boxes = chamber_nodes(witness, 2, 3)
         assert design.base == by_boxes.base
         assert design.steps == by_boxes.steps
-        assert design.nodes == by_boxes.nodes
+        assert _nodes(design, 2) == _nodes(by_boxes, 2)
         assert design.held_out == by_boxes.held_out
 
 

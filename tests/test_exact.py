@@ -243,22 +243,34 @@ def test_chamber2_polynomial_is_homogeneous():
 
 
 def _lattice(base, steps, degree):
-    """The nodes of newton_interpolate, keyed by lattice coordinates."""
-    return {
-        a: lattice_point(base, steps, a) for a in monomials_up_to_degree(len(steps), degree)
-    }
+    """The nodes of newton_interpolate, in the order it calls them."""
+    return [lattice_point(base, steps, a) for a in monomials_up_to_degree(len(steps), degree)]
 
 
 def test_interpolate_linear_recovery():
     base, steps = (2, 1, -3), [(1, 0, -1), (1, 1, -2)]
     target = _x(3, 1, 2)
-    values = {a: target.evaluate(p) for a, p in _lattice(base, steps, 1).items()}
-    assert newton_interpolate(base, steps, values, 1) == target
+    assert newton_interpolate(base, steps, target.evaluate, 1) == target
 
 
 def test_interpolate_univariate_squares():
-    values = {(k,): Fraction((k + 1) ** 2) for k in range(3)}
-    assert newton_interpolate((1, -1), [(1, -1)], values, 2) == MultiPoly(2, {(2,): 1})
+    # the node a = (k,) is (k + 1, -k - 1), with value (k + 1)^2
+    squares = newton_interpolate((1, -1), [(1, -1)], lambda x: Fraction(x[0] ** 2), 2)
+    assert squares == MultiPoly(2, {(2,): 1})
+
+
+def test_newton_calls_the_value_function_once_per_node_in_lattice_order():
+    base, steps = (3, -1, -2), [(2, 1, -3), (1, 2, -3)]
+    target = MultiPoly(3, {(2, 0): Fraction(1, 2), (1, 1): -3, (0, 1): 5, (0, 0): 7})
+    calls = []
+
+    def value_at(x):
+        calls.append(x)
+        return target.evaluate(x)
+
+    assert newton_interpolate(base, steps, value_at, 2) == target
+    assert calls == _lattice(base, steps, 2)
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_newton_with_fractional_inverse_matches_gauss_jordan():
@@ -267,21 +279,25 @@ def test_newton_with_fractional_inverse_matches_gauss_jordan():
     base, steps = (3, -1, -2), [(2, 1, -3), (1, 2, -3)]
     target = MultiPoly(3, {(2, 0): Fraction(1, 2), (1, 1): -3, (0, 1): 5, (0, 0): 7})
     nodes = _lattice(base, steps, 2)
-    values = {a: target.evaluate(p) for a, p in nodes.items()}
-    assert newton_interpolate(base, steps, values, 2) == target
-    assert interpolate(list(nodes.values()), list(values.values()), 2) == target
+    assert newton_interpolate(base, steps, target.evaluate, 2) == target
+    assert interpolate(nodes, [target.evaluate(p) for p in nodes], 2) == target
 
 
 def test_newton_rejects_bad_lattices():
-    values = {a: 1 for a in monomials_up_to_degree(2, 1)}
+    # each check runs before the first call of the value function
+    calls = []
+
+    def value_at(x):
+        calls.append(x)
+        return 1
+
     with pytest.raises(ValueError, match="dependent"):
-        newton_interpolate((2, 1, -3), [(1, 0, -1), (2, 0, -2)], values, 1)
-    with pytest.raises(ValueError, match="no value"):
-        newton_interpolate((2, 1, -3), [(1, 0, -1), (0, 1, -1)], {(0, 0): 1}, 1)
+        newton_interpolate((2, 1, -3), [(1, 0, -1), (2, 0, -2)], value_at, 1)
     with pytest.raises(DimensionMismatchError):
-        newton_interpolate((2, 1, -3), [(1, 0, -1)], values, 1)
+        newton_interpolate((2, 1, -3), [(1, 0, -1)], value_at, 1)
     with pytest.raises(NonZeroSumError):
-        newton_interpolate((2, 1, -2), [(1, 0, -1), (0, 1, -1)], values, 1)
+        newton_interpolate((2, 1, -2), [(1, 0, -1), (0, 1, -1)], value_at, 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, True, "1", None])
@@ -290,7 +306,7 @@ def test_coefficients_and_values_must_be_exact(bad):
     with pytest.raises(ValueError, match="^coefficient must be an int or a Fraction, got "):
         MultiPoly(2, {(1,): bad})
     with pytest.raises(ValueError, match="^value must be an int or a Fraction, got "):
-        newton_interpolate((1, -1), ((1, -1),), {(0,): bad, (1,): 2}, 1)
+        newton_interpolate((1, -1), ((1, -1),), lambda x: bad, 1)
 
 
 def test_interpolate_inconsistent_constant():
@@ -334,9 +350,8 @@ def test_interpolate_round_trip_randomized():
             free = tuple(rng.randint(-5, 5) for _ in range(n - 1))
             base = free + (-sum(free),)
             nodes = _lattice(base, steps, degree)
-            values = {a: poly.evaluate(p) for a, p in nodes.items()}
-            assert newton_interpolate(base, steps, values, degree) == poly
-            assert interpolate(list(nodes.values()), list(values.values()), degree) == poly
+            assert newton_interpolate(base, steps, poly.evaluate, degree) == poly
+            assert interpolate(nodes, [poly.evaluate(p) for p in nodes], degree) == poly
 
 
 # -- division ----------------------------------------------------------------

@@ -99,6 +99,24 @@ def test_fit_validates_on_held_out_points():
         assert fit.polynomial.evaluate(point.x) == value
 
 
+@pytest.mark.parametrize(
+    "entries, g, calls",
+    [((7, 1, -2, -3, -3), 0, 20), ((3, 1, -2, -2), 1, 61), ((3, -1, -2), 2, 50)],
+)
+def test_fit_evaluates_each_point_once(monkeypatch, entries, g, calls):
+    # C(D + n - 1, n - 1) nodes and five held-out points, each passed
+    # positionally, as perfbench's trace hook reads the profile from args[0]
+    seen = []
+
+    def counting(*args):
+        seen.append(args[0].x)
+        return frobenius_connected(*args)
+
+    monkeypatch.setattr(piecewise, "frobenius_connected", counting)
+    fit_chamber(_witness(*entries), g)
+    assert len(seen) == len(set(seen)) == calls
+
+
 def _fake_counts(monkeypatch, count, oracle_agrees: bool) -> None:
     """Replace the fit's character route by `count`, and the oracle of its
     spot checks too when `oracle_agrees`, so that the fake passes them."""
