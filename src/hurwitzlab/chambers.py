@@ -27,6 +27,7 @@ from .exact import MultiPoly, compositions, lattice_point
 from .hurwitz import RamificationProfile
 
 NODE_BUDGET = 100_000
+HELD_OUT = 5
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ class ChamberLattice:
     held_out: tuple[RamificationProfile, ...]
 
 
-def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> ChamberLattice:
+def chamber_nodes(witness: ChamberWitness, degree: int) -> ChamberLattice:
     """The lattice for a fit of the given degree in the witness's chamber.
 
     The witness slides down its chamber to a base point b, moving along each
@@ -214,12 +215,11 @@ def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> Chambe
     it, and the nodes with sum a_i <= degree determine a polynomial of that
     degree.  The chamber is convex and fixes each coordinate's sign, so only
     the corners b + degree * v_i are checked, and the cover degree
-    deg(b) + sum a_i deg(v_i) picks the `held_out` cheapest later points
+    deg(b) + sum a_i deg(v_i) picks the ``HELD_OUT`` cheapest later points
     (ties in lattice order), the only ones built.  Every check counts toward
     ``NODE_BUDGET``.
     """
     count_argument("degree", degree)
-    count_argument("held_out", held_out)
     n = witness.point.n
     target = witness.signs
     spent = 0
@@ -279,10 +279,10 @@ def chamber_nodes(witness: ChamberWitness, degree: int, held_out: int) -> Chambe
     costs = [sum(c for c in step if c > 0) for step in steps]
     extra: list[RamificationProfile] = []
     layer = degree
-    while len(extra) < held_out:
+    while len(extra) < HELD_OUT:
         layer += 1
         ring = sorted(compositions(layer, n - 1), key=lambda a: sum(map(mul, a, costs)))
-        for a in ring[: held_out - len(extra)]:
+        for a in ring[: HELD_OUT - len(extra)]:
             extra.append(checked(lattice_point(base, steps, a)))
     return ChamberLattice(
         base=RamificationProfile(base), steps=tuple(steps), held_out=tuple(extra)

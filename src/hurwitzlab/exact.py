@@ -73,7 +73,7 @@ class MultiPoly:
     descending, so equality is structural.
     """
 
-    __slots__ = ("n", "terms", "_over_lcm")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Exponents, Fraction | int] | None = None):
         count_argument("n", n, 2)
@@ -91,7 +91,6 @@ class MultiPoly:
         self.terms = tuple(
             sorted(clean.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
         )
-        self._over_lcm: tuple[int, list[tuple[Exponents, int]]] | None = None
 
     # -- structural protocol ----------------------------------------------
 
@@ -129,7 +128,7 @@ class MultiPoly:
     def evaluate(self, x: Sequence[int]) -> Fraction:
         """Evaluate at a zero-sum lattice point given with all n coordinates:
         integer numerators over the lcm of the denominators, which are
-        computed once per polynomial, and one division."""
+        computed on each call, and one division."""
         if len(x) != self.n:
             raise DimensionMismatchError(
                 f"point has {len(x)} coordinates, polynomial expects {self.n}"
@@ -138,11 +137,8 @@ class MultiPoly:
             raise ValueError(f"point {tuple(x)} must have integer coordinates")
         if sum(x) != 0:
             raise NonZeroSumError(f"coordinates of {tuple(x)} do not sum to zero")
-        if self._over_lcm is None:
-            den = math.lcm(*(coeff.denominator for _, coeff in self.terms))
-            scaled = [(e, c.numerator * (den // c.denominator)) for e, c in self.terms]
-            self._over_lcm = den, scaled
-        den, scaled = self._over_lcm
+        den = math.lcm(*(c.denominator for _, c in self.terms))
+        scaled = ((e, c.numerator * (den // c.denominator)) for e, c in self.terms)
         # exps has n - 1 entries, so map stops before x_n
         return Fraction(sum(c * math.prod(map(pow, x, e)) for e, c in scaled), den)
 

@@ -7,11 +7,12 @@ no quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import count_argument
+
+R_MAX = 30
 
 
 def alternating_sum(r: int, r2: int) -> int:
@@ -40,25 +41,13 @@ def beta_integral_exact(r1: int, r2: int) -> Fraction:
     return r2 * comb(r - 1, r2) * integral
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    cases: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_identities(r_max: int) -> IdentityReport:
-    """Check both identities against (-1)^(r1-1) for all 2 <= r <= r_max.
-
-    Failures are reported, not raised.
-    """
-    count_argument("r_max", r_max, 2)
+def verify_identities() -> tuple[bool, str]:
+    """Check both identities against (-1)^(r1-1) for all 2 <= r <= R_MAX:
+    a self-test check, returning (ok, detail) with the failures listed in
+    the detail, not raised."""
     failures: list[str] = []
     cases = 0
-    for r in range(2, r_max + 1):
+    for r in range(2, R_MAX + 1):
         for r2 in range(1, r):
             r1 = r - r2
             expected = (-1) ** (r1 - 1)
@@ -73,4 +62,4 @@ def verify_identities(r_max: int) -> IdentityReport:
                 failures.append(
                     f"beta_integral_exact({r1},{r2}) = {got_beta}, expected {expected}"
                 )
-    return IdentityReport(cases=cases, failures=tuple(failures))
+    return not failures, f"{cases} cases up to r={R_MAX}; failures: {failures}"

@@ -32,8 +32,6 @@ from .hurwitz import (
     simple_branch_count,
 )
 
-_HELD_OUT = 5
-
 
 @dataclass(frozen=True)
 class ChamberPolynomial:
@@ -79,8 +77,8 @@ def fit_chamber(witness: ChamberWitness, g: int) -> ChamberPolynomial:
 
     Newton interpolation on the lattice of ``chamber_nodes``, whose nodes
     determine a polynomial of degree 4g-3+n, evaluates the count via the
-    character route at each node, and five held-out lattice points prove the
-    fit.  The two cheapest evaluated points
+    character route at each node, and the lattice's ``HELD_OUT`` held-out
+    points prove the fit.  The two cheapest evaluated points
     (lowest cover degree, then lattice order, so the base point first) are
     cross-checked against the enumeration oracle, with no bound on its tuple
     space: the cut-and-join count costs a small share of the character-route
@@ -98,7 +96,7 @@ def fit_chamber(witness: ChamberWitness, g: int) -> ChamberPolynomial:
         )
     degree_bound = 4 * g - 3 + n
 
-    design = chamber_nodes(witness, degree_bound, _HELD_OUT)
+    design = chamber_nodes(witness, degree_bound)
     evaluated: list[tuple[RamificationProfile, Fraction]] = []  # in call order
 
     def count_at(x: tuple[int, ...]) -> Fraction:

@@ -52,11 +52,7 @@ from hurwitzlab.hurwitz import (  # noqa: E402
     oracle_count,
     simple_branch_count,
 )
-from hurwitzlab.identities import (  # noqa: E402
-    alternating_sum,
-    beta_integral_exact,
-    verify_identities,
-)
+from hurwitzlab.identities import alternating_sum, beta_integral_exact  # noqa: E402
 from hurwitzlab.piecewise import fit_chamber  # noqa: E402
 from hurwitzlab.symgroup import Partition, partitions_of  # noqa: E402
 
@@ -135,14 +131,12 @@ SWEEP = [
     Row(Wall, "indices", 3, {"n": 5}, "wall index", low=None, place=_pair),
     Row(Wall, "n", 5, {"indices": (2,)}, "n", low=2),
     Row(walls, "n", 3, {}, "n", low=2),
-    Row(chamber_nodes, "degree", 2, {"witness": WITNESS, "held_out": 2}, "degree"),
-    Row(chamber_nodes, "held_out", 2, {"witness": WITNESS, "degree": 2}, "held_out"),
+    Row(chamber_nodes, "degree", 2, {"witness": WITNESS}, "degree"),
     Row(fit_chamber, "g", 1, {"witness": FIT_WITNESS}, "genus", error=InvalidProfileError),
     Row(alternating_sum, "r", 5, {"r2": 2}, "r", low=2),
     Row(alternating_sum, "r2", 2, {"r": 5}, "r2", low=1),
     Row(beta_integral_exact, "r1", 2, {"r2": 3}, "r1", low=1),
     Row(beta_integral_exact, "r2", 3, {"r1": 2}, "r2", low=1),
-    Row(verify_identities, "r_max", 5, {}, "r_max", low=2),
     Row(cli.cache_key, "g", 0, {"profile": PROFILE}, "genus", error=InvalidProfileError),
 ]
 

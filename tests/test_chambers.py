@@ -164,10 +164,10 @@ def _nodes(design, degree: int) -> list[tuple[tuple[int, ...], RamificationProfi
 
 
 def test_sample_includes_scalings_for_two_parts():
-    design = chamber_nodes(ChamberWitness.at(RamificationProfile((1, -1))), 2, 3)
+    design = chamber_nodes(ChamberWitness.at(RamificationProfile((1, -1))), 2)
     assert design.base.x == (1, -1) and design.steps == ((1, -1),)
     assert [p.x for _, p in _nodes(design, 2)] == [(1, -1), (2, -2), (3, -3)]
-    assert [p.x for p in design.held_out] == [(4, -4), (5, -5), (6, -6)]
+    assert [p.x for p in design.held_out] == [(k, -k) for k in range(4, 9)]
 
 
 def _small_chambers(n: int) -> list[ChamberWitness]:
@@ -195,7 +195,7 @@ def test_sample_points_share_the_signature():
     assert len(witnesses) == 1 + 2 + 6 + 32
     for witness in witnesses:
         n = witness.point.n
-        design = chamber_nodes(witness, 3, 5)
+        design = chamber_nodes(witness, 3)
         nodes = _nodes(design, 3)
         points = [p for _, p in nodes] + list(design.held_out)
         assert len(nodes) == math.comb(3 + n - 1, n - 1)
@@ -213,21 +213,24 @@ def test_sample_points_share_the_signature():
 
 def test_held_out_points_are_the_cheapest_of_their_layers():
     # reference: build every lattice point of the layers beyond the nodes and
-    # stable-sort each layer by cover degree
-    for witness in _small_chambers(4):
-        for degree in (1, 2, 3):
-            design = chamber_nodes(witness, degree, 12)
-            expected = []
-            layer = degree
-            while len(expected) < 12:
-                layer += 1
-                ring = [
-                    lattice_point(design.base.x, design.steps, a)
-                    for a in compositions(layer, 3)
-                ]
-                ring.sort(key=lambda x: sum(v for v in x if v > 0))
-                expected += ring[: 12 - len(expected)]
-            assert [p.x for p in design.held_out] == expected
+    # stable-sort each layer by cover degree; at degree 0 the held-out points
+    # span two layers, 2 + 3 of them at n = 3 and 3 + 2 at n = 4
+    for n in (3, 4):
+        for witness in _small_chambers(n):
+            for degree in (0, 1, 2, 3):
+                design = chamber_nodes(witness, degree)
+                expected = []
+                layer = degree
+                while len(expected) < chambers.HELD_OUT:
+                    layer += 1
+                    ring = [
+                        lattice_point(design.base.x, design.steps, a)
+                        for a in compositions(layer, n - 1)
+                    ]
+                    ring.sort(key=lambda x: sum(v for v in x if v > 0))
+                    expected += ring[: chambers.HELD_OUT - len(expected)]
+                assert [p.x for p in design.held_out] == expected
+                assert degree or layer == 2
 
 
 @pytest.mark.parametrize("entries", [EXAMPLE_C1.x, EXAMPLE_C2.x, (3, 1, -2, -2)])
@@ -237,15 +240,15 @@ def test_corner_check_catches_an_escaped_lattice(monkeypatch, entries):
     monkeypatch.setattr(chambers, "_in_closed_cone", lambda vector, n, target: True)
     witness = ChamberWitness.at(RamificationProfile(entries))
     with pytest.raises(AssertionError, match="left the chamber"):
-        chamber_nodes(witness, 3, 0)
+        chamber_nodes(witness, 3)
 
 
 def test_sample_is_deterministic_and_prefix_stable():
     witness = ChamberWitness.at(EXAMPLE_C2)
-    first = chamber_nodes(witness, 2, 5)
-    again = chamber_nodes(witness, 2, 5)
+    first = chamber_nodes(witness, 2)
+    again = chamber_nodes(witness, 2)
     assert first == again
-    larger = chamber_nodes(witness, 3, 5)
+    larger = chamber_nodes(witness, 3)
     assert _nodes(larger, 3)[: len(_nodes(first, 2))] == _nodes(first, 2)
     held = [p.degree for p in first.held_out]
     assert held == sorted(held)
@@ -257,7 +260,7 @@ def test_base_slides_down_to_a_low_point():
     witnesses = [ChamberWitness.at(RamificationProfile(x)) for x in scaled]
     witnesses += _small_chambers(4)
     for i, witness in enumerate(witnesses):
-        base = chamber_nodes(witness, 0, 0).base
+        base = chamber_nodes(witness, 0).base
         assert ChamberWitness(base).signs == witness.signs
         bound = EXAMPLE_C1.degree - 1 if i < 2 else witness.point.degree
         assert base.degree <= bound
@@ -281,7 +284,7 @@ def test_base_slides_down_to_a_low_point():
 )
 def test_step_matrix_is_invertible_and_in_the_closed_cone(entries):
     witness = ChamberWitness.at(RamificationProfile(entries))
-    design = chamber_nodes(witness, 1, 1)
+    design = chamber_nodes(witness, 1)
     n = len(entries)
     assert len(design.steps) == n - 1
     assert determinant(_step_matrix(design.steps)) != 0
@@ -328,13 +331,13 @@ def test_chamber_nodes_match_the_whole_box_route(monkeypatch):
     rng = random.Random(15)
     witnesses = [random_witness(rng, n, 9) for n in (3, 4, 5, 6) for _ in range(4)]
     witnesses += [random_witness(rng, 7, 9) for _ in range(2)]
-    designs = [chamber_nodes(witness, 2, 3) for witness in witnesses]
+    designs = [chamber_nodes(witness, 2) for witness in witnesses]
     monkeypatch.setattr(
         chambers, "_sign_vectors", lambda point, radius: iter(box_sign_vectors(point, radius))
     )
     monkeypatch.setattr(chambers, "NODE_BUDGET", 10**7)
     for witness, design in zip(witnesses, designs):
-        by_boxes = chamber_nodes(witness, 2, 3)
+        by_boxes = chamber_nodes(witness, 2)
         assert design.base == by_boxes.base
         assert design.steps == by_boxes.steps
         assert _nodes(design, 2) == _nodes(by_boxes, 2)
@@ -346,7 +349,7 @@ def test_seven_part_step_search_stays_small(monkeypatch):
     # budget; given room, it finds this base and these steps
     witness = ChamberWitness.at(RamificationProfile((-8, -1, -9, 2, 3, -9, 22)))
     monkeypatch.setattr(chambers, "NODE_BUDGET", 20_000)
-    design = chamber_nodes(witness, 4, 5)
+    design = chamber_nodes(witness, 4)
     assert design.base.x == (-5, -1, -5, 2, 2, -5, 12)
     assert design.steps == (
         (-1, 0, 0, 0, 0, 0, 1),
@@ -362,7 +365,7 @@ def test_sample_budget_error(monkeypatch):
     witness = ChamberWitness.at(EXAMPLE_C1)
     monkeypatch.setattr(chambers, "NODE_BUDGET", 10)
     with pytest.raises(SamplingBudgetExceededError):
-        chamber_nodes(witness, 2, 5)
+        chamber_nodes(witness, 2)
 
 
 def test_every_small_chamber_gets_a_full_step_basis():
@@ -372,7 +375,7 @@ def test_every_small_chamber_gets_a_full_step_basis():
     for n in (2, 3, 4, 5):
         witnesses = _small_chambers(n)
         for witness in witnesses:
-            design = chamber_nodes(witness, 0, 0)
+            design = chamber_nodes(witness, 0)
             assert len(design.steps) == n - 1
             assert determinant(_step_matrix(design.steps)) != 0
             wide_steps += any(max(map(abs, step)) > 1 for step in design.steps)

@@ -340,6 +340,24 @@ def test_cache_env_var(tmp_path):
     assert os.path.exists(cache)
 
 
+@pytest.mark.parametrize("source", ["option", "env"])
+def test_empty_cache_path_disables_the_cache(tmp_path, source):
+    # run in an empty directory, where the default path would create a file
+    env = _env({"HURWITZ_CACHE": ""} if source == "env" else None)
+    if source == "option":
+        env.pop("HURWITZ_CACHE", None)
+    extra = ["--cache", ""] if source == "option" else []
+    for _ in range(2):
+        proc = subprocess.run(
+            _BASE + ["compute", "-g", "0", "-x", "3,-1,-2", *extra],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=600,
+        )
+        assert proc.returncode == 0
+        assert _stdout_json(proc)["value"] == "1"
+        assert "cache hit" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- fit --------------------------------------------------------------------------
 
 
@@ -780,6 +798,22 @@ def test_selftest_checks_are_pinned(capsys):
     assert all(c["ok"] is True for c in payload["checks"])
     assert list(payload["checks"][0]) == ["name", "ok", "detail"]
     assert err.splitlines() == [f"[ok] {name}: {detail}" for name, detail in _SELFTEST_CHECKS]
+
+
+def test_selftest_runs_the_identity_check_it_looks_up(monkeypatch, capsys):
+    # the check table is built per call, so the patched name is the one run
+    from hurwitzlab import cli
+
+    monkeypatch.setattr(cli, "verify_identities", lambda: (False, "patched"))
+    assert cli.main(["selftest", "--json"]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["checks"][0] == {
+        "name": "crossing sign identities", "ok": False, "detail": "patched"
+    }
+    assert all(c["ok"] is True for c in payload["checks"][1:])
+    assert err.splitlines()[0] == "[FAIL] crossing sign identities: patched"
 
 
 def test_cache_keys_are_collision_free():

@@ -38,8 +38,6 @@ def test_parameter_validation():
         alternating_sum(3, 3)
     with pytest.raises(ValueError):
         beta_integral_exact(0, 1)
-    with pytest.raises(ValueError):
-        verify_identities(1)
 
 
 def test_both_routes_agree_up_to_thirty():
@@ -52,11 +50,9 @@ def test_both_routes_agree_up_to_thirty():
 
 
 def test_report_is_clean():
-    assert verify_identities(2).failures == ()
-    report = verify_identities(30)
-    assert report.ok
-    assert report.failures == ()
-    assert report.cases == sum(r - 1 for r in range(2, 31))
+    assert identities.R_MAX == 30
+    cases = sum(r - 1 for r in range(2, 31))
+    assert verify_identities() == (True, f"{cases} cases up to r=30; failures: []")
 
 
 def test_mutated_harness_detects_failures(monkeypatch):
@@ -65,12 +61,12 @@ def test_mutated_harness_detects_failures(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(identities, "alternating_sum", broken)
-        report = verify_identities(30)
-    assert not report.ok
-    assert any("alternating_sum(5," in failure for failure in report.failures)
+        ok, detail = verify_identities()
+    assert not ok
+    assert "alternating_sum(5," in detail
 
     def broken_beta(r1: int, r2: int) -> Fraction:
         return beta_integral_exact(r1, r2) * 2
 
     monkeypatch.setattr(identities, "beta_integral_exact", broken_beta)
-    assert not verify_identities(5).ok
+    assert not verify_identities()[0]

@@ -86,7 +86,7 @@ def test_fit_at_a_scaled_witness_matches_the_unscaled_one():
     witness = _witness(7, 1, -2, -3, -3)
     scaled = _witness(*(100_000 * v for v in witness.point.x))
     assert scaled.signature == witness.signature
-    assert chamber_nodes(scaled, 2, 5).base == chamber_nodes(witness, 2, 5).base
+    assert chamber_nodes(scaled, 2).base == chamber_nodes(witness, 2).base
     here, there = fit_chamber(witness, 0), fit_chamber(scaled, 0)
     assert there.polynomial == here.polynomial == MultiPoly(5, {(2, 0, 0, 0): 6})
     assert there.validation == here.validation
@@ -144,7 +144,7 @@ def test_fit_spot_check_catches_a_lying_evaluator(monkeypatch):
 
 def test_fit_spot_checks_the_base_point_first(monkeypatch):
     witness = _witness(7, 1, -2, -3, -3)
-    base = chamber_nodes(witness, 2, 5).base
+    base = chamber_nodes(witness, 2).base
 
     def lies_at_base(p: RamificationProfile, g: int) -> Fraction:
         value = frobenius_connected(p, g).value
