@@ -68,7 +68,6 @@ class Wall:
         return "[" + ",".join(map(str, self.indices)) + "]"
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: walls(2.0) must not hit walls(2)
 def walls(n: int) -> tuple[Wall, ...]:
     """All 2^{n-1} - 1 canonical walls, ordered by size then lexicographically."""
     count_argument("n", n, 2)
@@ -100,6 +99,11 @@ def _wall_sums(x: tuple[int, ...], n: int) -> list[int]:
     return sums[1:]
 
 
+def _signs(x: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The sign of each canonical subset sum of x, in the order of walls(n)."""
+    return tuple((s > 0) - (s < 0) for s in _wall_sums(x, n))
+
+
 @dataclass(frozen=True)
 class ChamberWitness:
     """A lattice point and the signs of its canonical subset sums, in the
@@ -114,7 +118,7 @@ class ChamberWitness:
 
     def __post_init__(self):
         n = self.point.n
-        signs = tuple((s > 0) - (s < 0) for s in _wall_sums(self.point.x, n))
+        signs = _signs(self.point.x, n)
         if 0 in signs:
             raise OnWallError(walls(n)[signs.index(0)])
         object.__setattr__(self, "signs", signs)
@@ -134,12 +138,6 @@ class ChamberWitness:
                 f"point {other.point} has n={other.point.n}, point {self.point} has n={n}"
             )
         return [wall for wall, a, b in zip(walls(n), self.signs, other.signs) if a != b]
-
-
-def _is_valid_sample(candidate: tuple[int, ...], n: int, target: tuple[int, ...]) -> bool:
-    """Every wall sum of the zero-sum candidate has the chamber's sign.  The
-    walls {i} and {2..n} make this fix the sign of every coordinate too."""
-    return all(want * s > 0 for want, s in zip(target, _wall_sums(candidate, n)))
 
 
 def _sign_vectors(point: tuple[int, ...], radius: int) -> Iterator[tuple[int, ...]]:
@@ -191,14 +189,14 @@ def _reduce(vector: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> li
 @dataclass(frozen=True)
 class ChamberLattice:
     """An affine principal lattice inside one chamber: the fit nodes are
-    ``lattice_point(base.x, steps, a)`` for a_i >= 0, sum a_i <= degree, and
+    ``lattice_point(base, steps, a)`` for a_i >= 0, sum a_i <= degree, and
     ``held_out`` are further lattice points, from the layers sum a_i =
     degree + 1, degree + 2, ...
     """
 
-    base: RamificationProfile
+    base: tuple[int, ...]
     steps: tuple[tuple[int, ...], ...]
-    held_out: tuple[RamificationProfile, ...]
+    held_out: tuple[tuple[int, ...], ...]
 
 
 def chamber_nodes(witness: ChamberWitness, degree: int) -> ChamberLattice:
@@ -267,26 +265,24 @@ def chamber_nodes(witness: ChamberWitness, degree: int) -> ChamberLattice:
                 if len(steps) == n - 1:
                     break
 
-    def checked(x: tuple[int, ...]) -> RamificationProfile:
+    def checked(x: tuple[int, ...]) -> tuple[int, ...]:
         spend()
-        if not _is_valid_sample(x, n, target):
+        if _signs(x, n) != target:
             raise AssertionError(f"lattice point {x} left the chamber of {witness.point}")
-        return RamificationProfile(x)
+        return x
 
     if degree:
         for step in steps:
             checked(tuple(b + degree * v for b, v in zip(base, step)))
     costs = [sum(c for c in step if c > 0) for step in steps]
-    extra: list[RamificationProfile] = []
+    extra: list[tuple[int, ...]] = []
     layer = degree
     while len(extra) < HELD_OUT:
         layer += 1
         ring = sorted(compositions(layer, n - 1), key=lambda a: sum(map(mul, a, costs)))
         for a in ring[: HELD_OUT - len(extra)]:
             extra.append(checked(lattice_point(base, steps, a)))
-    return ChamberLattice(
-        base=RamificationProfile(base), steps=tuple(steps), held_out=tuple(extra)
-    )
+    return ChamberLattice(base=base, steps=tuple(steps), held_out=tuple(extra))
 
 
 def adjacent_chamber(witness: ChamberWitness, wall: Wall) -> ChamberWitness:

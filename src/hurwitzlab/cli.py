@@ -78,19 +78,11 @@ def _emit_error(err: Exception, code: str | None = None) -> int:
     return _EXIT_CODES.get(code, 1)
 
 
-def _parse_profile(text: str) -> RamificationProfile:
-    try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InvalidProfileError(f"cannot parse integer list {text!r}") from exc
-    return RamificationProfile(entries)
-
-
-def _parse_indices(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, error: type[Exception]) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"cannot parse index list {text!r}") from exc
+        raise error(f"cannot parse {what} list {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +136,6 @@ def cache_append(path: str, key: str, value: str, method: str) -> None:
         handle.flush()
 
 
-def _resolve_cache_path(args) -> str | None:
-    if args.no_cache:
-        return None
-    # an empty path, from --cache or HURWITZ_CACHE, turns the cache off
-    if args.cache is not None:
-        return args.cache
-    return os.environ.get("HURWITZ_CACHE", DEFAULT_CACHE_PATH)
-
-
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------
@@ -181,10 +164,13 @@ def _cached_value(record: dict, profile: RamificationProfile, r: int) -> Fractio
 
 
 def cmd_compute(args) -> int:
-    profile = _parse_profile(args.x)
+    profile = RamificationProfile(_parse_ints(args.x, "integer", InvalidProfileError))
     g = args.g
     r = simple_branch_count(g, profile.n)
-    path = _resolve_cache_path(args)
+    # an empty path, from --cache, --no-cache or HURWITZ_CACHE, turns the cache off
+    path = args.cache
+    if path is None:
+        path = os.environ.get("HURWITZ_CACHE", DEFAULT_CACHE_PATH)
     key = cache_key(g, profile)
     record = cache_lookup(path, key) if path else None
     cached = _cached_value(record, profile, r) if record is not None else None
@@ -230,8 +216,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    witness = ChamberWitness.at(_parse_profile(args.x))
-    _emit(fit_chamber(witness, args.g).to_json_dict(), args.json)
+    profile = RamificationProfile(_parse_ints(args.x, "integer", InvalidProfileError))
+    _emit(fit_chamber(ChamberWitness.at(profile), args.g).to_json_dict(), args.json)
     return 0
 
 
@@ -241,8 +227,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_wallcross(args) -> int:
-    witness = ChamberWitness.at(_parse_profile(args.x))
-    requested = _parse_indices(args.wall)
+    profile = RamificationProfile(_parse_ints(args.x, "integer", InvalidProfileError))
+    witness = ChamberWitness.at(profile)
+    requested = _parse_ints(args.wall, "index", ValueError)
     wall = Wall(requested, witness.point.n)
     if tuple(sorted(set(requested))) != wall.indices:
         _notice(f"normalized wall [{args.wall}] to canonical representative {wall}")
@@ -457,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument("--cache", help="cache file path (JSON lines)")
     compute.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
+        "--no-cache", dest="cache", action="store_const", const="", help="bypass the result cache"
     )
     compute.add_argument(
         "--verify",

@@ -99,14 +99,14 @@ def fit_chamber(witness: ChamberWitness, g: int) -> ChamberPolynomial:
     design = chamber_nodes(witness, degree_bound)
     evaluated: list[tuple[RamificationProfile, Fraction]] = []  # in call order
 
-    def count_at(x: tuple[int, ...]) -> Fraction:
+    def count_at(x: tuple[int, ...]) -> tuple[RamificationProfile, Fraction]:
         point = RamificationProfile(x)
         # positional, as perfbench's trace hook reads the profile from args[0]
         evaluated.append((point, frobenius_connected(point, g).value))
-        return evaluated[-1][1]
+        return evaluated[-1]
 
-    poly = newton_interpolate(design.base.x, design.steps, count_at, degree_bound)
-    held_out = [(p, count_at(p.x)) for p in design.held_out]
+    poly = newton_interpolate(design.base, design.steps, lambda x: count_at(x)[1], degree_bound)
+    held_out = [count_at(x) for x in design.held_out]
     for point, value in sorted(evaluated, key=lambda pair: pair[0].degree)[:2]:
         checked = oracle_count(point, g, budget=None).value
         if checked != value:

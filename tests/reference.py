@@ -30,12 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from hurwitzlab.chambers import (
-    ChamberWitness,
-    Wall,
-    _is_valid_sample,
-    walls,
-)
+from hurwitzlab.chambers import ChamberWitness, Wall, walls
 from hurwitzlab.errors import AdjacencyNotFoundError, OnWallError
 from hurwitzlab.exact import Exponents, MultiPoly, compositions, monomials_up_to_degree
 from hurwitzlab.hurwitz import RamificationProfile, simple_branch_count
@@ -397,7 +392,8 @@ def adjacent_by_search(witness: ChamberWitness, wall: Wall, budget: int) -> Cham
         raise ValueError(f"{wall} is not a canonical wall for n={n}")
     base_sum = wall.subset_sum(witness.point.x)
     direction = -1 if base_sum > 0 else 1
-    target = tuple(-s if w == wall else s for w, s in zip(walls(n), witness.signs))
+    # each wall with the sign that it has across `wall`
+    wanted = [(w, -s if w == wall else s) for w, s in zip(walls(n), witness.signs)]
     inside = list(wall.indices)
     outside = list(wall.complement())
     spent = 0
@@ -417,7 +413,7 @@ def adjacent_by_search(witness: ChamberWitness, wall: Wall, budget: int) -> Cham
                     candidate[i - 1] += t
                     candidate[l - 1] -= t
                     candidate_t = tuple(candidate)
-                    if _is_valid_sample(candidate_t, n, target):
+                    if all(w.subset_sum(candidate_t) * want > 0 for w, want in wanted):
                         return ChamberWitness.at(RamificationProfile(candidate_t))
     raise AdjacencyNotFoundError(
         f"no point with the sign of {wall} reversed found within {budget} candidates"

@@ -155,7 +155,7 @@ def test_criterion_6_product_formula(example_pair):
 
     design = chamber_nodes(ChamberWitness.at(q), 2)
     nodes = [
-        RamificationProfile(lattice_point(design.base.x, design.steps, a))
+        RamificationProfile(lattice_point(design.base, design.steps, a))
         for a in monomials_up_to_degree(q.n - 1, 2)
     ]
     extra = [p for p in nodes if p.x != q.x][:5]

@@ -240,7 +240,6 @@ def test_every_public_count_parameter_is_swept_through_the_rule(monkeypatch):
             monkeypatch.setattr(module, "count_argument", recording_rule)
     unchecked = []
     for row in SWEEP:
-        walls.cache_clear()  # a memoized result would skip the check
         probe = (row.named, row.value)
         try:
             row.call(row.value)
@@ -248,6 +247,17 @@ def test_every_public_count_parameter_is_swept_through_the_rule(monkeypatch):
             continue
         unchecked.append(f"{row.key[0]}({row.parameter})")
     assert unchecked == []
+
+
+def test_walls_checks_its_argument_after_a_valid_call():
+    assert walls(2) == (Wall((2,), 2),)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {bad!r}$"):
+            walls(bad)
+    # and keeps no memo: an untyped lru_cache would not serve walls(2.0) from
+    # walls(2), as CPython keys a lone int argument by the int itself
+    assert not hasattr(walls, "cache_info")
+    assert walls(2) is not walls(2)
 
 
 @pytest.mark.parametrize(

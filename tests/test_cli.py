@@ -340,22 +340,40 @@ def test_cache_env_var(tmp_path):
     assert os.path.exists(cache)
 
 
-@pytest.mark.parametrize("source", ["option", "env"])
+@pytest.mark.parametrize("source", ["option", "env", "no-cache"])
 def test_empty_cache_path_disables_the_cache(tmp_path, source):
-    # run in an empty directory, where the default path would create a file
+    # run in an empty directory, where the default path would create a file;
+    # --no-cache is the empty path too, so all three print the same payload
     env = _env({"HURWITZ_CACHE": ""} if source == "env" else None)
-    if source == "option":
+    if source != "env":
         env.pop("HURWITZ_CACHE", None)
-    extra = ["--cache", ""] if source == "option" else []
+    extra = {"option": ["--cache", ""], "env": [], "no-cache": ["--no-cache"]}[source]
+    payload = f'{{"value":"1","g":0,"r":1,"method":"frobenius","stats":{_FROBENIUS_STATS}}}'
     for _ in range(2):
         proc = subprocess.run(
-            _BASE + ["compute", "-g", "0", "-x", "3,-1,-2", *extra],
+            _BASE + ["compute", "-g", "0", "-x", "3,-1,-2", "--json", *extra],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=600,
         )
         assert proc.returncode == 0
-        assert _stdout_json(proc)["value"] == "1"
-        assert "cache hit" not in proc.stderr
+        assert (_without_elapsed(proc.stdout), proc.stderr) == (payload, "")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, written",
+    [
+        (["--cache", "c.jsonl", "--no-cache"], []),
+        (["--no-cache", "--cache", "c.jsonl"], ["c.jsonl"]),
+    ],
+    ids=["no-cache-last", "cache-last"],
+)
+def test_the_later_cache_flag_wins(tmp_path, monkeypatch, flags, written):
+    from hurwitzlab import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HURWITZ_CACHE", raising=False)
+    assert cli.main(["compute", "-g", "0", "-x", "3,-1,-2", *flags]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == written
 
 
 # -- fit --------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_fit_spot_check_catches_a_lying_evaluator(monkeypatch):
 
 def test_fit_spot_checks_the_base_point_first(monkeypatch):
     witness = _witness(7, 1, -2, -3, -3)
-    base = chamber_nodes(witness, 2).base
+    base = RamificationProfile(chamber_nodes(witness, 2).base)
 
     def lies_at_base(p: RamificationProfile, g: int) -> Fraction:
         value = frobenius_connected(p, g).value
